@@ -473,8 +473,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None) -> d
         )
         if algo == "diloc_rel":
             summary["alpha"] = alpha
-            J = (1.0 - alpha) * np.eye(sys_m.M) + alpha * sys_m.P.toarray()
-            summary["rho_J"] = float(np.max(np.abs(np.linalg.eigvals(J)))) if sys_m.M else 0.0
+            # J = (1 - alpha) I + alpha P has eigenvalues 1 - alpha + alpha * lambda(P),
+            # and P is nonnegative, so its Perron root sets the largest modulus
+            summary["rho_J"] = 1.0 - alpha * (1.0 - rho_p)
     else:
         channel_var = cfg["noise.channel_var"]
         if cfg["noise.channel_var_scaled_by_M"]:

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .geometry import (
+    HULL_REL_TOL,
+    VOLUME_TOL,
     BarycentricWeights,
     DistanceMatrix,
     barycentric_coordinates,
@@ -29,8 +30,6 @@ _FIELD_STREAM = 101  # seed-stream tag for field generation
 # inside the anchor hull (assumption: the iteration chain needs anchors on
 # the outside of everything it must absorb).
 _INTERIOR_TOL = 1e-12
-
-_CHUNK = 4096  # candidate subsets tested per vectorized batch
 
 
 class DeploymentError(ValueError):
@@ -214,11 +213,202 @@ def _default_r0(field: SensorField) -> float:
     return float(np.median(nn)) / 2.0
 
 
-def _first_inside_subset(field: SensorField, l: int, radius: float):
+def _local_frame(sq_cand: np.ndarray, sq_to_l: np.ndarray, m: int):
+    """Coordinates of the candidates relative to sensor l, from distances alone.
+
+    Pivoted Cholesky of the l-centred Gram matrix
+    G_ab = (|la|^2 + |lb|^2 - |ab|^2) / 2, stopped after m pivots: an exact
+    isometric image of the vectors from l when the distances are exact.
+    Returns the (n, m) coordinates and a bound on the error of any m x m
+    determinant of their rows. Entries of G err by at most ~24 u R^2 (u the
+    machine epsilon, R the farthest candidate), coordinate j amplifies that by 3 R / h_j for pivot
+    length h_j, and a determinant of entries up to R adds m m! R^(m-1) per
+    unit of coordinate error; the bound takes a 100-fold margin on that
+    product and is infinite when the candidates and l span fewer than m
+    dimensions, so a degenerate frame prunes nothing.
+    """
+    coords = np.zeros((sq_to_l.size, m))
+    resid = sq_to_l.copy()
+    r = math.sqrt(float(sq_to_l.max()))
+    amplification = 1.0
+    for j in range(m):
+        p = int(np.argmax(resid))
+        h_sq = float(resid[p])
+        if not h_sq > 0.0:
+            return coords, math.inf
+        col = (sq_to_l + sq_to_l[p] - sq_cand[:, p]) / 2.0 - coords[:, :j] @ coords[p, :j]
+        coords[:, j] = col / math.sqrt(h_sq)
+        resid = resid - coords[:, j] ** 2
+        amplification *= 3.0 * r / math.sqrt(h_sq)
+    eps = np.finfo(float).eps
+    return coords, 2400.0 * m * math.factorial(m) * eps * r**m * amplification
+
+
+def _slack(sq_diam, sq_reach: float, m: int, frame_err: float):
+    """Largest signed sub-volume determinant of a subset the kernel may accept
+    with the opposite sign, for subsets of squared diameter ``sq_diam``.
+
+    Let V_a be the exact normalized volume of the subset with vertex a
+    replaced by l, V their signed sum (the base volume, at most 1 for unit
+    diameter) and mu the sum of |V_a| over the sign that V does not have.
+    Then sum |V_a| = |V| + 2 mu. The kernel's computed volumes are square
+    roots of rounded squared volumes of entries scaled to at most 1, whose
+    rounding (a few ulps, ~1e-15) moves a root by at most ~1e-7; the
+    allowance e = sqrt(VOLUME_TOL) = 1e-6 covers that tenfold. Acceptance
+    needs sum of computed subs <= (1 + HULL_REL_TOL) * computed base, so
+    |V| + 2 mu - (m+1) e <= (1 + HULL_REL_TOL)(|V| + e), that is
+    mu <= eta = (HULL_REL_TOL + (m+3) e) / 2. Normalization divides volumes
+    by scale^(m/2), scale being the largest squared distance among the
+    subset and l, at most max(sq_diam, sq_reach). A frame determinant of m
+    direction vectors is m! times a signed sub-volume, plus ``frame_err``.
+    So a subset with one determinant above the slack and another below its
+    negative has mu >= 2 eta and the kernel rejects it.
+    """
+    eta = (HULL_REL_TOL + (m + 3) * math.sqrt(VOLUME_TOL)) / 2.0
+    scale = np.maximum(sq_diam, sq_reach)
+    return 2.0 * math.factorial(m) * eta * scale ** (m / 2.0) + frame_err
+
+
+def _det(x: np.ndarray) -> np.ndarray:
+    """Determinants of stacked square matrices, in closed form up to 2 x 2."""
+    k = x.shape[-1]
+    if k == 0:
+        return np.ones(x.shape[:-2])
+    if k == 1:
+        return x[..., 0, 0]
+    if k == 2:
+        return x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
+    return np.linalg.det(x)
+
+
+def _surrounds(coords: np.ndarray, verts: np.ndarray, s: np.ndarray, q: np.ndarray, slack):
+    """Prefilter: whether subsets (verts[s], q) surround l within slack.
+
+    ``verts`` (S, m) holds vertex rows of ``coords``; each subset adds a
+    last vertex q to state s. The signed sub-volume determinants of a subset
+    are -det(A) and (adj(A) q)_a for A = coords[verts[s]].T: by Cramer's
+    rule, replacing column a of A by q gives (adj(A) q)_a. l lies inside
+    exactly when they share one sign; a subset passes when all are >= -slack
+    or all are <= slack.
+    """
+    m = coords.shape[1]
+    a = coords[verts].transpose(0, 2, 1)
+    others = np.array([np.delete(np.arange(m), i) for i in range(m)]).reshape(m, m - 1)
+    # minors[:, j, i] drops row j and column i; adj[i, j] is its signed determinant
+    minors = a[:, others[:, None, :, None], others[None, :, None, :]]
+    sign = (-1.0) ** np.add.outer(np.arange(m), np.arange(m))
+    adj = sign * _det(minors).transpose(0, 2, 1)
+    vals = np.column_stack([np.einsum("kij,kj->ki", adj[s], coords[q]), -_det(a)[s]])
+    tol = slack[s, None]
+    return (vals >= -tol).all(axis=1) | (vals <= tol).all(axis=1)
+
+
+def _opposite_arcs(coords, theta, by_angle, ei: np.ndarray, ej: np.ndarray, slack):
+    """Candidates that may complete planar edges (ei, ej) to a surrounding triangle.
+
+    ``theta`` holds the candidates' angles about l and ``by_angle`` sorts
+    them. Returns (edge index, candidate) pairs, a superset of those passing
+    ``_surrounds``. Orient each edge (a, b) counter-clockwise about l, with
+    det(a, b) > slack and angle phi from a to b. A third vertex k then passes
+    only if det(b, k) >= -slack and det(k, a) >= -slack, which puts its
+    direction in the arc from angle(a) + pi - A_a to angle(b) + pi + A_b,
+    where sin(A_v) = slack / (|v| r_min) + 4 ulp bounds the angular slack for
+    any k (r_min: the nearest candidate). Edges where that fails to hold --
+    det(a, b) within the slack, A_v undefined, or phi <= A_a + A_b, where
+    a second arc near a and b opens -- pair with every candidate.
+    """
+    n = coords.shape[0]
+    th = theta[by_angle]
+    th2 = np.concatenate([th, th + 2.0 * math.pi])
+    r = np.hypot(coords[:, 0], coords[:, 1])
+    det = coords[ei, 0] * coords[ej, 1] - coords[ei, 1] * coords[ej, 0]
+    a, b = np.where(det >= 0.0, ei, ej), np.where(det >= 0.0, ej, ei)
+    eps = np.finfo(float).eps
+    with np.errstate(divide="ignore"):  # a candidate at l itself: scan every candidate
+        sin_a = slack / (r[a] * r.min()) * (1.0 + 1e-9) + 4.0 * eps
+        sin_b = slack / (r[b] * r.min()) * (1.0 + 1e-9) + 4.0 * eps
+    ang_a = np.arcsin(np.minimum(sin_a, 1.0)) + 1e-9
+    ang_b = np.arcsin(np.minimum(sin_b, 1.0)) + 1e-9
+    phi = np.mod(theta[b] - theta[a], 2.0 * math.pi)
+    full = (
+        (np.abs(det) <= slack) | (sin_a >= 1.0) | (sin_b >= 1.0)
+        | (phi <= ang_a + ang_b) | (phi >= math.pi)
+    )
+    begin = th[0] + np.mod(theta[a] + math.pi - ang_a - th[0], 2.0 * math.pi)
+    lo = np.searchsorted(th2, begin, side="left")
+    hi = np.minimum(np.searchsorted(th2, begin + phi + ang_a + ang_b, side="right"), lo + n)
+    lo, counts = np.where(full, 0, lo), np.where(full, n, hi - lo)
+    edge = np.repeat(np.arange(ei.size), counts)
+    offset = np.arange(edge.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return edge, by_angle[(lo[edge] + offset) % n]
+
+
+def _hopeless(coords: np.ndarray, slack: float) -> bool:
+    """True when no subset can pass the prefilter with this (or a smaller) slack.
+
+    m = 1: every candidate lies on one side of l beyond the slack. m = 2:
+    the directions from l fit in a cone narrower than pi (l is outside the
+    candidates' hull); in cone order a triangle (a, b, c) then passes only
+    if det(a, c) <= slack, or det(a, b) and det(b, c) both are. Such near
+    pairs satisfy sin(angle) <= slack / (|a| |c|), so they are found by a
+    window search on the sorted angles, and the round is hopeless when none
+    has a candidate between its ends and no two are chained. Other
+    dimensions are never skipped.
+    """
+    m = coords.shape[1]
+    slack *= 1.001  # absorbs rounding differences from the prefilter's own products
+    if m == 1:
+        x = coords[:, 0]
+        return bool((x > slack).all() or (x < -slack).all())
+    if m != 2 or not math.isfinite(slack):
+        return False
+    n = coords.shape[0]
+    theta = np.arctan2(coords[:, 1], coords[:, 0])
+    order = np.argsort(theta, kind="stable")
+    th = theta[order]
+    gaps = np.diff(np.append(th, th[0] + 2.0 * math.pi))
+    g = int(np.argmax(gaps))
+    if gaps[g] <= math.pi + 1e-9:
+        return False
+    order = np.roll(order, -(g + 1))
+    th = theta[order]
+    th = np.where(th < th[0], th + 2.0 * math.pi, th)
+    v = coords[order]
+    r = np.hypot(v[:, 0], v[:, 1])
+    with np.errstate(divide="ignore"):  # a candidate at l itself opens every window
+        window = np.arcsin(np.minimum(slack / (r * r.min()) + 1e-12, 1.0)) + 1e-9
+    pos = np.arange(n)
+    near_end = np.maximum(np.searchsorted(th, th + window, side="right"), pos + 1)
+    far_start = np.maximum(np.searchsorted(th, th + math.pi - window, side="left"), near_end)
+    counts = (near_end - pos - 1) + (n - far_start)
+    if counts.sum() > 16 * n:
+        return False
+    first = np.repeat(pos, counts)
+    k = np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    n_near = np.repeat(near_end - pos - 1, counts)
+    second = np.where(k < n_near, first + 1 + k, np.repeat(far_start, counts) + k - n_near)
+    det = v[first, 0] * v[second, 1] - v[first, 1] * v[second, 0]
+    near = det <= slack
+    if (second[near] - first[near] >= 2).any():
+        return False
+    chained = np.zeros(n + 1, dtype=bool)
+    chained[first[near]] = True
+    return not (chained[:-1] & chained[1:]).any()
+
+
+def _first_inside_subset(field: SensorField, l: int, radius: float, prev_radius: float = 0.0):
     """First strictly containing (m+1)-subset of in-radius neighbors, or None.
 
     Candidate subsets are ordered by (max pairwise distance, lexicographic
-    ids): tight cells first, deterministic throughout.
+    ids): tight cells first, deterministic throughout. The walk is lazy:
+    candidate pairs are taken in (length, ids) order, a block of equal
+    lengths at a time, and each pair closes the subsets in which it is a
+    longest edge. Only subsets holding a node beyond ``prev_radius`` count,
+    since every other one failed in the previous round, and only those
+    whose directions from l surround it within the slack of ``_slack``
+    reach the kernel; the rest provably fail it. A round in which no
+    subset can surround l (``_hopeless``) is skipped whole. Directions come
+    from ``_local_frame``, so the search reads squared distances only.
     """
     m = field.m
     sq = field.sq_distances_from(l)
@@ -228,25 +418,71 @@ def _first_inside_subset(field: SensorField, l: int, radius: float):
     n_c = cand_rows.size
     if n_c < m + 1:
         return None, n_c
+    sq_to_l = sq[cand_rows]
+    new = sq_to_l >= prev_radius * prev_radius
+    if not new.any():
+        return None, n_c
     cand_ids = cand_rows + 1
     pts = field._all_coords[cand_rows]
     diffs = pts[:, None, :] - pts[None, :, :]
     sq_cand = np.einsum("ijk,ijk->ij", diffs, diffs)
     sq_cand = (sq_cand + sq_cand.T) / 2.0
     np.fill_diagonal(sq_cand, 0.0)
-    sq_to_l = sq[cand_rows]
-    combos = np.fromiter(
-        (i for combo in combinations(range(n_c), m + 1) for i in combo), dtype=np.intp
-    ).reshape(-1, m + 1)
-    diam = sq_cand[combos[:, :, None], combos[:, None, :]].max(axis=(1, 2))
-    order = np.argsort(diam, kind="stable")
-    combos = combos[order]
-    for start in range(0, combos.shape[0], _CHUNK):
-        chunk = combos[start : start + _CHUNK]
-        flags = batch_strict_inclusion(sq_cand, sq_to_l, chunk, m)
-        hits = np.flatnonzero(flags)
+    coords, frame_err = _local_frame(sq_cand, sq_to_l, m)
+    sq_reach = float(sq_to_l.max())
+    if _hopeless(coords, float(_slack(sq_cand.max(), sq_reach, m, frame_err))):
+        return None, n_c
+    first, second = np.triu_indices(n_c, 1)
+    length = sq_cand[first, second]
+    order = np.argsort(length, kind="stable")
+    first, second, length = first[order], second[order], length[order]
+    if m == 2:
+        theta = np.arctan2(coords[:, 1], coords[:, 0])
+        by_angle = np.argsort(theta, kind="stable")
+    start, batch = 0, 16
+    while start < length.size:
+        stop = min(start + batch, length.size)
+        while stop < length.size and length[stop] == length[stop - 1]:
+            stop += 1
+        ei, ej, diam = first[start:stop], second[start:stop], length[start:stop]
+        start = stop
+        # about 2^19 (state, last vertex) pairs at most per batch
+        batch = min(2 * batch, max(16, (1 << 19) // n_c ** max(1, m - 1)))
+        slack = _slack(diam, sq_reach, m, frame_err)
+        if m == 1:
+            verts, s, q = ei[:, None], np.arange(ei.size), ej
+        elif m == 2:
+            verts = np.stack([ei, ej], axis=1)
+            s, q = _opposite_arcs(coords, theta, by_angle, ei, ej, slack)
+            ok = (sq_cand[ei[s], q] <= diam[s]) & (sq_cand[ej[s], q] <= diam[s])
+            ok &= (q != ei[s]) & (q != ej[s])
+            s, q = s[ok], q[ok]
+        else:
+            verts, cols = np.stack([ei, ej], axis=1), np.arange(n_c)
+            mask = (sq_cand[ei] <= diam[:, None]) & (sq_cand[ej] <= diam[:, None])
+            mask[np.arange(ei.size), ei] = False
+            mask[np.arange(ej.size), ej] = False
+            # grow each state by its next vertex, in increasing index order
+            while verts.shape[1] < m:
+                s, k = np.nonzero(mask)
+                verts, diam, slack = np.column_stack([verts[s], k]), diam[s], slack[s]
+                mask = mask[s] & (sq_cand[k] <= diam[:, None]) & (cols[None, :] > k[:, None])
+            s, q = np.nonzero(mask)
+        keep = new[verts].any(axis=1)[s] | new[q]
+        s, q = s[keep], q[keep]
+        keep = _surrounds(coords, verts, s, q, slack)
+        s, q = s[keep], q[keep]
+        if not s.size:
+            continue
+        subsets = np.sort(np.column_stack([verts[s], q]), axis=1)
+        rank = np.lexsort(tuple(subsets[:, ::-1].T) + (diam[s],))
+        subsets = subsets[rank]
+        distinct = np.ones(len(subsets), dtype=bool)
+        distinct[1:] = (subsets[1:] != subsets[:-1]).any(axis=1)
+        subsets = subsets[distinct]
+        hits = np.flatnonzero(batch_strict_inclusion(sq_cand, sq_to_l, subsets, m))
         if hits.size:
-            return tuple(int(cand_ids[i]) for i in chunk[hits[0]]), n_c
+            return tuple(int(cand_ids[i]) for i in subsets[hits[0]]), n_c
     return None, n_c
 
 
@@ -264,9 +500,9 @@ def triangulate_sensor(field: SensorField, l: int, r0=None, growth=1.25) -> Tria
         r0 = _default_r0(field)
     if r0 <= 0 or growth <= 1.0:
         raise DeploymentError("need r0 > 0 and growth > 1")
-    radius = float(r0)
+    radius, prev_radius = float(r0), 0.0
     while True:
-        theta, n_candidates = _first_inside_subset(field, l, radius)
+        theta, n_candidates = _first_inside_subset(field, l, radius, prev_radius)
         if theta is not None:
             d = field.distance_submatrix((l,) + theta)
             w = barycentric_coordinates(l, theta, d, field.m)
@@ -276,7 +512,7 @@ def triangulate_sensor(field: SensorField, l: int, r0=None, growth=1.25) -> Tria
                 f"sensor {l} saw every node at radius {radius:.6g} and still "
                 "found no containing subset; field violates the convexity assumption"
             )
-        radius *= growth
+        radius, prev_radius = radius * growth, radius
 
 
 def triangulate_all(field: SensorField, r0=None, growth=1.25) -> dict[int, TriangulationSet]:

@@ -9,6 +9,7 @@ rows could be computed in parallel against the immutable previous state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,10 @@ class DimensionMismatchError(EngineError):
 
 class InvalidAlphaError(EngineError):
     pass
+
+
+class NonFiniteStateError(EngineError):
+    """A step produced a NaN or infinite state; the run can no longer converge."""
 
 
 @dataclass(frozen=True)
@@ -193,6 +198,8 @@ def run_to_convergence(
             else diloc_rel_step(state, sys, anchors, alpha)
         )
         step_norm = float(np.abs(new.X - state.X).max()) if sys.M else 0.0
+        if not math.isfinite(step_norm):
+            raise NonFiniteStateError(f"step {new.t} left a non-finite sensor state")
         step_norms.append(step_norm)
         alphas.append(1.0 if mode == "diloc" else alpha)
         if oracle is not None:

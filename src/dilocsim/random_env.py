@@ -16,12 +16,13 @@ be recomputed independently and reproducibly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .engine import IterationState, RunTrace
+from .engine import IterationState, NonFiniteStateError as EngineNonFiniteStateError, RunTrace
 from .system import AnchorBlock, SingularSystemError, SystemMatrices, exact_locations_oracle
 
 _ENV_STREAM = 301
@@ -33,6 +34,10 @@ SCHEDULE_FAMILIES = ("harmonic", "power")
 
 class RandomEnvError(ValueError):
     pass
+
+
+class NonFiniteStateError(RandomEnvError, EngineNonFiniteStateError):
+    """A robust-iteration step produced a NaN or infinite state."""
 
 
 class PersistenceViolationError(RandomEnvError):
@@ -296,6 +301,8 @@ def run_dlre(
     for t in range(int(max_iters)):
         new = dlre_step(x, sys, anchors, model, schedule, t)
         step = float(np.abs(new - x).max()) if sys.M else 0.0
+        if not math.isfinite(step):
+            raise NonFiniteStateError(f"step {t + 1} left a non-finite sensor state")
         step_norms.append(step)
         alphas.append(float(schedule(t)))
         if oracle is not None:

@@ -134,3 +134,54 @@ def anchor_coupled_50_node_field():
                 p = centroid + (p - centroid) * 0.98
             pts.append(p)
     return SensorField(2, anchors.copy(), np.array(pts[:47]))
+
+
+# ---------------------------------------------------------------------------
+# Brute-force reference for the triangulation set-up phase.
+# ---------------------------------------------------------------------------
+
+
+def reference_first_inside_subset(field, l, radius):
+    """First strictly containing subset of in-radius neighbors, by brute force.
+
+    Builds every (m+1)-subset of the candidates within ``radius``, orders them
+    by (max pairwise squared distance, lexicographic ids) and tests them all
+    with the library's inclusion kernel. Returns (ids or None, candidate count),
+    the contract of ``deployment._first_inside_subset``.
+    """
+    from itertools import combinations
+
+    from dilocsim.geometry import batch_strict_inclusion
+
+    m = field.m
+    sq = field.sq_distances_from(l)
+    cand_rows = np.flatnonzero(sq < radius * radius)
+    cand_rows = cand_rows[cand_rows != l - 1]
+    n_c = cand_rows.size
+    if n_c < m + 1:
+        return None, n_c
+    pts = field._all_coords[cand_rows]
+    sq_cand = sq_dist_table(pts)
+    combos = np.array(list(combinations(range(n_c), m + 1)), dtype=np.intp)
+    diam = sq_cand[combos[:, :, None], combos[:, None, :]].max(axis=(1, 2))
+    combos = combos[np.argsort(diam, kind="stable")]
+    flags = batch_strict_inclusion(sq_cand, sq[cand_rows], combos, m)
+    hits = np.flatnonzero(flags)
+    if hits.size:
+        return tuple(int(cand_rows[i]) + 1 for i in combos[hits[0]]), n_c
+    return None, n_c
+
+
+def reference_triangulate_sensor(field, l, r0, growth=1.25):
+    """Set-up of one sensor through ``reference_first_inside_subset``.
+
+    Returns (radius, neighbor ids); the radius schedule is the library's.
+    """
+    radius = float(r0)
+    while True:
+        theta, n_c = reference_first_inside_subset(field, l, radius)
+        if theta is not None:
+            return radius, theta
+        if n_c >= field.n_nodes - 1:
+            return radius, None
+        radius *= growth

@@ -229,6 +229,19 @@ class TestRunExperiment:
         assert summary["rho_J"] < 1.0
         assert summary["alpha"] == 0.5
 
+    def test_rho_j_matches_dense_eigensolve(self, tmp_path):
+        # rho(J) is reported in closed form from rho(P); check it against the
+        # spectrum of the dense J on a preset field
+        text = cli.materialize_preset("deterministic-poisson")
+        text = text.replace("algorithm = diloc", "algorithm = diloc_rel")
+        cfg = cli.parse_config_text(text + "alpha = 0.3\n")
+        summary = cli.run_experiment(cfg, tmp_path / "out")
+        field = cli._build_field(cfg, cfg["seed"])
+        sys_m = sysm.build_system_matrices(field, dep.triangulate_all(field))
+        J = 0.7 * np.eye(sys_m.M) + 0.3 * sys_m.P.toarray()
+        dense = np.max(np.abs(np.linalg.eigvals(J)))
+        assert summary["rho_J"] == pytest.approx(dense, abs=1e-10)
+
 
 class TestReplicas:
     def test_replica_directories_and_seeds(self, tmp_path):

@@ -1,5 +1,6 @@
 import math
 from importlib import resources
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,7 +8,12 @@ import scipy.stats
 
 from dilocsim import deployment as dep
 from dilocsim import geometry as geo
-from helpers import sq_dist_table
+from helpers import (
+    FIFTY_NODE_ANCHORS,
+    reference_first_inside_subset,
+    reference_triangulate_sensor,
+    sq_dist_table,
+)
 
 RIGHT_ANCHORS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -236,6 +242,162 @@ class TestTriangulation:
         assert len(ids) > 2000
         radii = np.array([dep.triangulate_sensor(f, int(l)).radius for l in ids])
         assert np.mean(radii <= 2.76) >= 0.99
+
+
+TETRAHEDRON = np.array([[0.0, 0.0, 0.0], [6.0, 0.0, 0.0], [3.0, 5.2, 0.0], [3.0, 1.7, 4.9]])
+
+
+def _lattice_field():
+    # sensors on the unit lattice: many candidate pairs tie in length, and
+    # sensors sit exactly on edges of the subsets around them
+    anchors = np.array([[0.0, 0.0], [12.0, 0.0], [0.0, 12.0]])
+    sensors = [(i, j) for i in range(1, 11) for j in range(1, 11) if i + j <= 10]
+    return dep.SensorField(2, anchors, np.array(sensors, dtype=float))
+
+
+EQUIVALENCE_FIELDS = {
+    "demo": dep.demo_network,
+    # the deterministic-poisson preset's field generator, seeds 0-19
+    **{
+        f"fifty-{s}": (lambda s=s: dep.generate_poisson_field(2, 1.0, FIFTY_NODE_ANCHORS, s))
+        for s in range(20)
+    },
+    **{
+        f"spatial-{s}": (lambda s=s: dep.generate_poisson_field(3, 0.6, TETRAHEDRON, s))
+        for s in (0, 2)
+    },
+    "line": lambda: dep.generate_poisson_field(1, 3.0, np.array([[0.0], [10.0]]), seed=2),
+    "lattice": _lattice_field,
+}
+
+
+class TestSearchMatchesReference:
+    """The lazy set-up search returns what exhaustive enumeration returns."""
+
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_FIELDS))
+    def test_triangulation_sets_identical(self, name):
+        field = EQUIVALENCE_FIELDS[name]()
+        r0 = dep._default_r0(field)
+        for l, t in dep.triangulate_all(field).items():
+            radius, theta = reference_triangulate_sensor(field, l, r0)
+            assert (t.radius, t.neighbor_ids) == (radius, theta)
+            local = field.distance_submatrix((l,) + theta)
+            ref = geo.barycentric_coordinates(l, theta, local, field.m).weights
+            assert t.weights.weights.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name", ["demo", "fifty-0", "fifty-7", "spatial-0", "line", "lattice"])
+    def test_can_triangulate_agrees(self, name):
+        field = EQUIVALENCE_FIELDS[name]()
+        r0 = dep._default_r0(field)
+        for l in list(field.sensor_ids)[:6]:
+            for k in range(0, 12, 2):
+                r = r0 * 1.25**k
+                expected = reference_first_inside_subset(field, l, r)[0] is not None
+                assert dep.can_triangulate(field, l, r) == expected
+
+
+def _random_cases():
+    """(candidate points, sensor point) pairs drawn at random, m = 1, 2, 3."""
+    rng = np.random.default_rng(2024)
+    for m, n in ((1, 8), (2, 9), (3, 8)):
+        for _ in range(150):
+            yield rng.random((n, m)), rng.random(m) * 1.2 - 0.1
+
+
+def _near_degenerate_cases():
+    """(candidate points, sensor point) pairs built on the edge of degeneracy."""
+    rng = np.random.default_rng(2025)
+    tri = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])
+    extra = rng.random((5, 2))
+    mid = (tri[0] + tri[1]) / 2
+    normal = np.array([-0.1, 1.0]) / math.hypot(0.1, 1.0)
+    for off in (1e-10, 0.0, -1e-10):
+        yield np.vstack([tri, extra]), mid + off * normal
+    tet = TETRAHEDRON / 6.0
+    face = tet[:3].mean(axis=0)
+    for off in (1e-10, 0.0, -1e-10):
+        yield np.vstack([tet, rng.random((3, 3))]), face + off * np.array([0.0, 0.0, 1.0])
+    # collinear candidates, with the sensor on their line or just off it
+    t = np.sort(rng.random(7)) * 3.0 - 1.0
+    line = np.column_stack([t, 0.3 * t + 0.1])
+    for l_point in ([0.2, 0.16], [0.2, 0.16 + 1e-9], [5.0, 1.6]):
+        yield line, np.array(l_point)
+    # coplanar candidates
+    uv = rng.random((7, 2))
+    plane = np.column_stack([uv, 0.2 * uv[:, 0] - 0.4 * uv[:, 1] + 0.3])
+    for l_point in ([0.5, 0.5, 0.2], [0.5, 0.5, 0.2 + 1e-9]):
+        yield plane, np.array(l_point)
+    # a candidate 1e-6 from the sensor, or on it
+    for m in (1, 2, 3):
+        l_point = np.full(m, 0.5)
+        for gap in (1e-6, 0.0):
+            near = l_point + gap * np.ones(m) / math.sqrt(m)
+            yield np.vstack([near, rng.random((6, m))]), l_point
+    # lattice points: tied edge lengths, sensor on lattice edges or at a centre
+    grid2 = np.array([(i, j) for i in range(-1, 2) for j in range(-1, 2) if (i, j) != (0, 0)], float)
+    for l_point in ([0.0, 0.0], [0.5, 0.5], [0.5, 0.0]):
+        yield grid2, np.array(l_point)
+    grid3 = np.array(
+        [(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1) if (i, j, k) != (0, 0, 0)],
+        float,
+    )
+    for l_point in ([0.0, 0.0, 0.0], [0.5, 0.5, 0.5]):
+        yield grid3, np.array(l_point)
+    yield np.array([[1.0], [2.0], [-1.0], [1.0 + 1e-10]]), np.array([1e-10])
+
+
+def _prefilter_verdicts(points, l_point):
+    m = points.shape[1]
+    sq = sq_dist_table(np.vstack([l_point, points]))
+    sq_cand, sq_to_l = sq[1:, 1:], sq[0, 1:]
+    n = len(points)
+    coords, frame_err = dep._local_frame(sq_cand, sq_to_l, m)
+    combos = np.array(list(combinations(range(n), m + 1)))
+    accepted = geo.batch_strict_inclusion(sq_cand, sq_to_l, combos, m)
+    diam = sq_cand[combos[:, :, None], combos[:, None, :]].max(axis=(1, 2))
+    slack = dep._slack(diam, sq_to_l.max(), m, frame_err)
+    rows = np.arange(len(combos))
+    passed = dep._surrounds(coords, combos[:, :-1], rows, combos[:, -1], slack)
+    hopeless = dep._hopeless(coords, float(dep._slack(sq_cand.max(), sq_to_l.max(), m, frame_err)))
+    if m == 2:
+        # the planar walk draws third vertices from the arc opposite each edge
+        theta = np.arctan2(coords[:, 1], coords[:, 0])
+        by_angle = np.argsort(theta, kind="stable")
+        for e0, e1, third in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            edge, q = dep._opposite_arcs(
+                coords, theta, by_angle, combos[:, e0], combos[:, e1], slack
+            )
+            drawn = np.zeros((len(combos), n), dtype=bool)
+            drawn[edge, q] = True
+            assert drawn[np.arange(len(combos)), combos[:, third]][passed].all()
+    return accepted, passed, hopeless
+
+
+class TestPrefilterConservative:
+    """Every subset the kernel accepts passes the prefilter; no skipped round
+    holds a subset that passes it."""
+
+    def test_random_small_sets(self):
+        counts = np.zeros(3, dtype=int)  # accepted, passed, skipped rounds
+        for points, l_point in _random_cases():
+            accepted, passed, hopeless = _prefilter_verdicts(points, l_point)
+            assert not (accepted & ~passed).any()
+            assert not (hopeless and passed.any())
+            counts += (accepted.sum(), passed.sum(), hopeless)
+        # on generic points the prefilter is tight and rounds do get skipped
+        assert counts[0] > 0 and counts[1] < 2 * counts[0] and counts[2] > 50
+
+    def test_near_degenerate_sets(self):
+        for points, l_point in _near_degenerate_cases():
+            accepted, passed, hopeless = _prefilter_verdicts(points, l_point)
+            assert not (accepted & ~passed).any()
+            assert not (hopeless and passed.any())
+
+    def test_skips_only_when_outside_hull(self):
+        rng = np.random.default_rng(5)
+        pts = rng.random((9, 2)) + np.array([0.0, 1.0])
+        assert _prefilter_verdicts(pts, np.array([0.5, 0.0]))[2]
+        assert not _prefilter_verdicts(pts, pts.mean(axis=0))[2]
 
 
 class TestSectorCheck:

@@ -235,3 +235,13 @@ class TestRunToConvergence:
             eng.run_to_convergence(
                 eng.initial_state(anchors, sys.M, seed=0), sys, anchors, mode="gossip"
             )
+
+    def test_non_finite_state_raises(self):
+        # a NaN step norm never drops below step_tol; the run must stop at once
+        _, sys, anchors, xstar = demo_setup()
+        guess = xstar.copy()
+        guess[0, 0] = np.nan
+        with pytest.raises(eng.NonFiniteStateError):
+            eng.run_to_convergence(
+                eng.state_from_guess(anchors, guess), sys, anchors, max_iters=10**6
+            )

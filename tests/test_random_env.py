@@ -238,6 +238,17 @@ class TestDlreRun:
         assert trace.alphas[3] == 0.25
         assert [t for t, _ in trace.snapshots] == [10, 20, 30, 40, 50]
 
+    def test_non_finite_state_raises(self):
+        _, _, sys, anchors = demo_setup()
+        guess = np.full((sys.M, sys.m), np.inf)
+        with pytest.raises(renv.NonFiniteStateError) as info, np.errstate(invalid="ignore"):
+            renv.run_dlre(
+                eng.state_from_guess(anchors, guess), sys, anchors, renv.NoiseModel(seed=1),
+                renv.make_weight_schedule("harmonic", 1.0), max_iters=10**6,
+            )
+        # both drivers raise the same engine-level error for the CLI's exit status 3
+        assert isinstance(info.value, eng.NonFiniteStateError)
+
 
 class TestDlreLimit:
     def test_unbiased_limit_is_exact(self):

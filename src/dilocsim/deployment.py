@@ -269,78 +269,31 @@ def _slack(sq_diam, sq_reach: float, m: int, frame_err: float):
     return 2.0 * math.factorial(m) * eta * scale ** (m / 2.0) + frame_err
 
 
-def _det(x: np.ndarray) -> np.ndarray:
-    """Determinants of stacked square matrices, in closed form up to 2 x 2."""
-    k = x.shape[-1]
-    if k == 0:
-        return np.ones(x.shape[:-2])
-    if k == 1:
-        return x[..., 0, 0]
-    if k == 2:
-        return x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
-    return np.linalg.det(x)
+def _surrounds(coords: np.ndarray, verts: np.ndarray, slack):
+    """Prefilter: whether subset verts[s] plus candidate q surrounds l within slack.
 
-
-def _surrounds(coords: np.ndarray, verts: np.ndarray, s: np.ndarray, q: np.ndarray, slack):
-    """Prefilter: whether subsets (verts[s], q) surround l within slack.
-
-    ``verts`` (S, m) holds vertex rows of ``coords``; each subset adds a
-    last vertex q to state s. The signed sub-volume determinants of a subset
-    are -det(A) and (adj(A) q)_a for A = coords[verts[s]].T: by Cramer's
-    rule, replacing column a of A by q gives (adj(A) q)_a. l lies inside
-    exactly when they share one sign; a subset passes when all are >= -slack
-    or all are <= slack.
+    ``verts`` (S, m) holds vertex rows of ``coords``; the result is an
+    (S, n) mask over every state s and last vertex q. The signed sub-volume
+    determinants of a subset are -det(A) and (adj(A) q)_a for
+    A = coords[verts[s]].T: by Cramer's rule, replacing column a of A by q
+    gives (adj(A) q)_a. l lies inside exactly when they share one sign; a
+    subset passes when all are >= -slack or all are <= slack.
     """
     m = coords.shape[1]
     a = coords[verts].transpose(0, 2, 1)
     others = np.array([np.delete(np.arange(m), i) for i in range(m)]).reshape(m, m - 1)
-    # minors[:, j, i] drops row j and column i; adj[i, j] is its signed determinant
+    # minors[:, j, i] drops row j and column i; the cofactors are adj(A).T
     minors = a[:, others[:, None, :, None], others[None, :, None, :]]
     sign = (-1.0) ** np.add.outer(np.arange(m), np.arange(m))
-    adj = sign * _det(minors).transpose(0, 2, 1)
-    vals = np.column_stack([np.einsum("kij,kj->ki", adj[s], coords[q]), -_det(a)[s]])
-    tol = slack[s, None]
-    return (vals >= -tol).all(axis=1) | (vals <= tol).all(axis=1)
-
-
-def _opposite_arcs(coords, theta, by_angle, ei: np.ndarray, ej: np.ndarray, slack):
-    """Candidates that may complete planar edges (ei, ej) to a surrounding triangle.
-
-    ``theta`` holds the candidates' angles about l and ``by_angle`` sorts
-    them. Returns (edge index, candidate) pairs, a superset of those passing
-    ``_surrounds``. Orient each edge (a, b) counter-clockwise about l, with
-    det(a, b) > slack and angle phi from a to b. A third vertex k then passes
-    only if det(b, k) >= -slack and det(k, a) >= -slack, which puts its
-    direction in the arc from angle(a) + pi - A_a to angle(b) + pi + A_b,
-    where sin(A_v) = slack / (|v| r_min) + 4 ulp bounds the angular slack for
-    any k (r_min: the nearest candidate). Edges where that fails to hold --
-    det(a, b) within the slack, A_v undefined, or phi <= A_a + A_b, where
-    a second arc near a and b opens -- pair with every candidate.
-    """
-    n = coords.shape[0]
-    th = theta[by_angle]
-    th2 = np.concatenate([th, th + 2.0 * math.pi])
-    r = np.hypot(coords[:, 0], coords[:, 1])
-    det = coords[ei, 0] * coords[ej, 1] - coords[ei, 1] * coords[ej, 0]
-    a, b = np.where(det >= 0.0, ei, ej), np.where(det >= 0.0, ej, ei)
-    eps = np.finfo(float).eps
-    with np.errstate(divide="ignore"):  # a candidate at l itself: scan every candidate
-        sin_a = slack / (r[a] * r.min()) * (1.0 + 1e-9) + 4.0 * eps
-        sin_b = slack / (r[b] * r.min()) * (1.0 + 1e-9) + 4.0 * eps
-    ang_a = np.arcsin(np.minimum(sin_a, 1.0)) + 1e-9
-    ang_b = np.arcsin(np.minimum(sin_b, 1.0)) + 1e-9
-    phi = np.mod(theta[b] - theta[a], 2.0 * math.pi)
-    full = (
-        (np.abs(det) <= slack) | (sin_a >= 1.0) | (sin_b >= 1.0)
-        | (phi <= ang_a + ang_b) | (phi >= math.pi)
-    )
-    begin = th[0] + np.mod(theta[a] + math.pi - ang_a - th[0], 2.0 * math.pi)
-    lo = np.searchsorted(th2, begin, side="left")
-    hi = np.minimum(np.searchsorted(th2, begin + phi + ang_a + ang_b, side="right"), lo + n)
-    lo, counts = np.where(full, 0, lo), np.where(full, n, hi - lo)
-    edge = np.repeat(np.arange(ei.size), counts)
-    offset = np.arange(edge.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    return edge, by_angle[(lo[edge] + offset) % n]
+    cof = sign * np.linalg.det(minors)
+    base = -np.linalg.det(a)
+    tol = slack[:, None]
+    low = np.broadcast_to((base >= -slack)[:, None], (len(verts), len(coords)))
+    high = (base <= slack)[:, None]
+    for i in range(m):
+        vals = cof[:, :, i] @ coords.T  # (adj(A_s) q)_i for every s and q
+        low, high = low & (vals >= -tol), high & (vals <= tol)
+    return low | high
 
 
 def _hopeless(coords: np.ndarray, slack: float) -> bool:
@@ -436,9 +389,6 @@ def _first_inside_subset(field: SensorField, l: int, radius: float, prev_radius:
     length = sq_cand[first, second]
     order = np.argsort(length, kind="stable")
     first, second, length = first[order], second[order], length[order]
-    if m == 2:
-        theta = np.arctan2(coords[:, 1], coords[:, 0])
-        by_angle = np.argsort(theta, kind="stable")
     start, batch = 0, 16
     while start < length.size:
         stop = min(start + batch, length.size)
@@ -450,13 +400,8 @@ def _first_inside_subset(field: SensorField, l: int, radius: float, prev_radius:
         batch = min(2 * batch, max(16, (1 << 19) // n_c ** max(1, m - 1)))
         slack = _slack(diam, sq_reach, m, frame_err)
         if m == 1:
-            verts, s, q = ei[:, None], np.arange(ei.size), ej
-        elif m == 2:
-            verts = np.stack([ei, ej], axis=1)
-            s, q = _opposite_arcs(coords, theta, by_angle, ei, ej, slack)
-            ok = (sq_cand[ei[s], q] <= diam[s]) & (sq_cand[ej[s], q] <= diam[s])
-            ok &= (q != ei[s]) & (q != ej[s])
-            s, q = s[ok], q[ok]
+            verts, mask = ei[:, None], np.zeros((ei.size, n_c), dtype=bool)
+            mask[np.arange(ei.size), ej] = True
         else:
             verts, cols = np.stack([ei, ej], axis=1), np.arange(n_c)
             mask = (sq_cand[ei] <= diam[:, None]) & (sq_cand[ej] <= diam[:, None])
@@ -467,11 +412,9 @@ def _first_inside_subset(field: SensorField, l: int, radius: float, prev_radius:
                 s, k = np.nonzero(mask)
                 verts, diam, slack = np.column_stack([verts[s], k]), diam[s], slack[s]
                 mask = mask[s] & (sq_cand[k] <= diam[:, None]) & (cols[None, :] > k[:, None])
-            s, q = np.nonzero(mask)
-        keep = new[verts].any(axis=1)[s] | new[q]
-        s, q = s[keep], q[keep]
-        keep = _surrounds(coords, verts, s, q, slack)
-        s, q = s[keep], q[keep]
+        mask &= new[verts].any(axis=1)[:, None] | new[None, :]
+        mask &= _surrounds(coords, verts, slack)
+        s, q = np.nonzero(mask)
         if not s.size:
             continue
         subsets = np.sort(np.column_stack([verts[s], q]), axis=1)

@@ -357,19 +357,8 @@ def _prefilter_verdicts(points, l_point):
     diam = sq_cand[combos[:, :, None], combos[:, None, :]].max(axis=(1, 2))
     slack = dep._slack(diam, sq_to_l.max(), m, frame_err)
     rows = np.arange(len(combos))
-    passed = dep._surrounds(coords, combos[:, :-1], rows, combos[:, -1], slack)
+    passed = dep._surrounds(coords, combos[:, :-1], slack)[rows, combos[:, -1]]
     hopeless = dep._hopeless(coords, float(dep._slack(sq_cand.max(), sq_to_l.max(), m, frame_err)))
-    if m == 2:
-        # the planar walk draws third vertices from the arc opposite each edge
-        theta = np.arctan2(coords[:, 1], coords[:, 0])
-        by_angle = np.argsort(theta, kind="stable")
-        for e0, e1, third in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            edge, q = dep._opposite_arcs(
-                coords, theta, by_angle, combos[:, e0], combos[:, e1], slack
-            )
-            drawn = np.zeros((len(combos), n), dtype=bool)
-            drawn[edge, q] = True
-            assert drawn[np.arange(len(combos)), combos[:, third]][passed].all()
     return accepted, passed, hopeless
 
 

@@ -22,7 +22,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -233,130 +232,58 @@ def _demo_field_path() -> str:
     return str(resources.files("dilocsim").joinpath("data/demo7.field"))
 
 
+# Every preset is the base config with some keys overridden (None drops one).
+_PRESET_BASE = {
+    "dimension": "2",
+    "field.source": "poisson",
+    "field.gamma": "1.0",
+    "field.anchors": _POISSON50_ANCHORS,
+    "algorithm": "diloc",
+    "stop.step_tol": "1e-10",
+    "stop.max_iters": "100000",
+    "seed": "3",
+}
+_DLRE = {"algorithm": "dlre", "stop.step_tol": "0", "stop.max_iters": "5000"}
+_POWER = {"schedule.family": "power", "schedule.param": "0.55"}
+_LOSSY_CHANNEL = {
+    "noise.link_prob": "0.9",
+    "noise.channel_var": "1.0",
+    "noise.channel_var_scaled_by_M": "true",
+}
+_PRESETS = {
+    "deterministic-fixture": {
+        "field.source": "file",
+        "field.gamma": None,
+        "field.anchors": None,
+        "field.path": _demo_field_path,
+        "snapshot_stride": "1",
+        "seed": "7",
+    },
+    "deterministic-poisson": {},
+    # link failures plus channel noise; decreasing harmonic gains
+    "lf-cn": {**_DLRE, "schedule.family": "harmonic", "schedule.param": "4.0", **_LOSSY_CHANNEL},
+    "noisy-distances": {**_DLRE, **_POWER, "noise.fluct_var": "0.1"},
+    "biased-distances": {**_DLRE, **_POWER, "noise.fluct_var": "0.1", "noise.bias_scale": "0.01"},
+    "all-random": {**_DLRE, **_POWER, **_LOSSY_CHANNEL, "noise.fluct_var": "0.1"},
+}
+
+
 def preset_names() -> list[str]:
-    return sorted(_PRESET_BUILDERS)
+    return sorted(_PRESETS)
 
 
 def materialize_preset(name: str) -> str:
-    try:
-        return _PRESET_BUILDERS[name]()
-    except KeyError:
+    """The preset's config text, one 'key = value' line per key."""
+    if name not in _PRESETS:
         raise ConfigInvalidError(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
-        ) from None
-
-
-def _preset_deterministic_fixture() -> str:
-    return (
-        "scenario = deterministic-fixture\n"
-        "dimension = 2\n"
-        "field.source = file\n"
-        f"field.path = {_demo_field_path()}\n"
-        "algorithm = diloc\n"
-        "stop.step_tol = 1e-10\n"
-        "stop.max_iters = 100000\n"
-        "snapshot_stride = 1\n"
-        "seed = 7\n"
+        )
+    values = {"scenario": name, **_PRESET_BASE, **_PRESETS[name]}
+    return "".join(
+        f"{key} = {val() if callable(val) else val}\n"
+        for key, val in values.items()
+        if val is not None
     )
-
-
-def _preset_deterministic_poisson() -> str:
-    return (
-        "scenario = deterministic-poisson\n"
-        "dimension = 2\n"
-        "field.source = poisson\n"
-        "field.gamma = 1.0\n"
-        f"field.anchors = {_POISSON50_ANCHORS}\n"
-        "algorithm = diloc\n"
-        "stop.step_tol = 1e-10\n"
-        "stop.max_iters = 100000\n"
-        "seed = 3\n"
-    )
-
-
-def _preset_lf_cn() -> str:
-    # link failures plus channel noise; decreasing harmonic gains
-    return (
-        "scenario = lf-cn\n"
-        "dimension = 2\n"
-        "field.source = poisson\n"
-        "field.gamma = 1.0\n"
-        f"field.anchors = {_POISSON50_ANCHORS}\n"
-        "algorithm = dlre\n"
-        "schedule.family = harmonic\n"
-        "schedule.param = 4.0\n"
-        "noise.link_prob = 0.9\n"
-        "noise.channel_var = 1.0\n"
-        "noise.channel_var_scaled_by_M = true\n"
-        "stop.step_tol = 0\n"
-        "stop.max_iters = 5000\n"
-        "seed = 3\n"
-    )
-
-
-def _preset_noisy_distances() -> str:
-    return (
-        "scenario = noisy-distances\n"
-        "dimension = 2\n"
-        "field.source = poisson\n"
-        "field.gamma = 1.0\n"
-        f"field.anchors = {_POISSON50_ANCHORS}\n"
-        "algorithm = dlre\n"
-        "schedule.family = power\n"
-        "schedule.param = 0.55\n"
-        "noise.fluct_var = 0.1\n"
-        "stop.step_tol = 0\n"
-        "stop.max_iters = 5000\n"
-        "seed = 3\n"
-    )
-
-
-def _preset_biased_distances() -> str:
-    return (
-        "scenario = biased-distances\n"
-        "dimension = 2\n"
-        "field.source = poisson\n"
-        "field.gamma = 1.0\n"
-        f"field.anchors = {_POISSON50_ANCHORS}\n"
-        "algorithm = dlre\n"
-        "schedule.family = power\n"
-        "schedule.param = 0.55\n"
-        "noise.fluct_var = 0.1\n"
-        "noise.bias_scale = 0.01\n"
-        "stop.step_tol = 0\n"
-        "stop.max_iters = 5000\n"
-        "seed = 3\n"
-    )
-
-
-def _preset_all_random() -> str:
-    return (
-        "scenario = all-random\n"
-        "dimension = 2\n"
-        "field.source = poisson\n"
-        "field.gamma = 1.0\n"
-        f"field.anchors = {_POISSON50_ANCHORS}\n"
-        "algorithm = dlre\n"
-        "schedule.family = power\n"
-        "schedule.param = 0.55\n"
-        "noise.link_prob = 0.9\n"
-        "noise.channel_var = 1.0\n"
-        "noise.channel_var_scaled_by_M = true\n"
-        "noise.fluct_var = 0.1\n"
-        "stop.step_tol = 0\n"
-        "stop.max_iters = 5000\n"
-        "seed = 3\n"
-    )
-
-
-_PRESET_BUILDERS = {
-    "deterministic-fixture": _preset_deterministic_fixture,
-    "deterministic-poisson": _preset_deterministic_poisson,
-    "lf-cn": _preset_lf_cn,
-    "noisy-distances": _preset_noisy_distances,
-    "biased-distances": _preset_biased_distances,
-    "all-random": _preset_all_random,
-}
 
 
 # -- artifact emission --------------------------------------------------------
@@ -443,7 +370,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None) -> d
     sys_m = sysm.build_system_matrices(field, tris)
     anchors = sysm.AnchorBlock(field.anchor_block())
     truth = field.true_sensor_matrix()
-    rho_p = sysm.spectral_radius(sys_m.P)
+    rho_error = None
+    try:
+        rho_p = sysm.spectral_radius(sys_m.P)
+    except sysm.NoConvergenceError as exc:
+        # a diagnostic: the run itself does not depend on it
+        rho_p, rho_error = None, str(exc)
     algo = cfg["algorithm"]
     initial = eng.initial_state(anchors, sys_m.M, seed=seed)
     stride = cfg["snapshot_stride"]
@@ -457,6 +389,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None) -> d
         "n_sensors": sys_m.M,
         "rho_P": rho_p,
     }
+    if rho_error is not None:
+        summary["rho_P_error"] = rho_error
     if algo in ("diloc", "diloc_rel"):
         alpha = cfg["alpha"] if algo == "diloc_rel" else 1.0
         trace = eng.run_to_convergence(
@@ -475,7 +409,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None) -> d
             summary["alpha"] = alpha
             # J = (1 - alpha) I + alpha P has eigenvalues 1 - alpha + alpha * lambda(P),
             # and P is nonnegative, so its Perron root sets the largest modulus
-            summary["rho_J"] = 1.0 - alpha * (1.0 - rho_p)
+            summary["rho_J"] = None if rho_p is None else 1.0 - alpha * (1.0 - rho_p)
     else:
         channel_var = cfg["noise.channel_var"]
         if cfg["noise.channel_var_scaled_by_M"]:
@@ -528,22 +462,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None) -> d
 
 
 def _replica_seed(base: int, index: int) -> int:
-    return int(np.random.SeedSequence([base & 0xFFFFFFFFFFFFFFFF, index]).generate_state(1)[0])
+    return int(np.random.SeedSequence([dep._u64(base), index]).generate_state(1)[0])
 
 
 def run_replicas(cfg: ExperimentConfig, out_dir, replicas: int, seed: int | None = None) -> list[dict]:
-    """Run seed-derived independent replicas in parallel subdirectories."""
+    """Run seed-derived independent replicas one after another, each in its
+    own subdirectory."""
     base = cfg["seed"] if seed is None else int(seed)
     out = Path(out_dir)
     if replicas <= 1:
         return [run_experiment(cfg, out, seed=base)]
-    seeds = [_replica_seed(base, k) for k in range(replicas)]
-    dirs = [out / f"replica-{k:03d}" for k in range(replicas)]
-    with ThreadPoolExecutor(max_workers=min(replicas, os.cpu_count() or 1)) as pool:
-        futures = [
-            pool.submit(run_experiment, cfg, d, s) for d, s in zip(dirs, seeds)
-        ]
-        return [f.result() for f in futures]
+    return [
+        run_experiment(cfg, out / f"replica-{k:03d}", seed=_replica_seed(base, k))
+        for k in range(replicas)
+    ]
 
 
 # -- command line ---------------------------------------------------------------
@@ -553,7 +485,7 @@ def _load_config_arg(arg: str) -> ExperimentConfig:
     path = Path(arg)
     if path.exists():
         return parse_config_text(path.read_text(encoding="utf-8"))
-    if arg in _PRESET_BUILDERS:
+    if arg in _PRESETS:
         return parse_config_text(materialize_preset(arg))
     raise ConfigInvalidError(f"{arg!r} is neither a config file nor a preset name")
 

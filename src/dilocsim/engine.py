@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .deployment import _u64
 from .system import AnchorBlock, SystemMatrices
 
 _INIT_STREAM = 202  # seed-stream tag for initial guesses
@@ -108,7 +109,7 @@ def initial_state(anchors: AnchorBlock, n_sensors: int, seed=0) -> IterationStat
     not depend on it.
     """
     U = np.asarray(anchors.U, dtype=float)
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, _INIT_STREAM])
+    rng = np.random.default_rng([_u64(seed), _INIT_STREAM])
     X0 = rng.uniform(U.min(axis=0), U.max(axis=0), size=(n_sensors, U.shape[1]))
     return IterationState(np.vstack([U, X0]), t=0)
 
@@ -128,11 +129,14 @@ def _check_dims(state: IterationState, sys: SystemMatrices, anchors: AnchorBlock
         raise DimensionMismatchError("anchor block shape does not match the system")
 
 
+def _relaxed(x: np.ndarray, sys: SystemMatrices, U: np.ndarray, alpha: float) -> np.ndarray:
+    total = sys.P @ x + sys.B @ U
+    return total if alpha == 1.0 else (1.0 - alpha) * x + alpha * total
+
+
 def diloc_step(state: IterationState, sys: SystemMatrices, anchors: AnchorBlock) -> IterationState:
     """One synchronous update: sensor rows become P X(t) + B U."""
-    _check_dims(state, sys, anchors)
-    total = sys.P @ state.X + sys.B @ np.asarray(anchors.U, dtype=float)
-    return IterationState(np.vstack([state.U, total]), t=state.t + 1, alpha=1.0)
+    return diloc_rel_step(state, sys, anchors, 1.0)
 
 
 def diloc_rel_step(
@@ -142,14 +146,15 @@ def diloc_rel_step(
 
     alpha = 1 reduces to the plain update and reproduces it bit for bit.
     """
+    _check_alpha(alpha)
+    _check_dims(state, sys, anchors)
+    new_x = _relaxed(state.X, sys, np.asarray(anchors.U, dtype=float), alpha)
+    return IterationState(np.vstack([state.U, new_x]), t=state.t + 1, alpha=alpha)
+
+
+def _check_alpha(alpha: float):
     if not 0.0 < alpha <= 1.0:
         raise InvalidAlphaError(f"relaxation parameter must lie in (0, 1], got {alpha}")
-    if alpha == 1.0:
-        return diloc_step(state, sys, anchors)
-    _check_dims(state, sys, anchors)
-    total = sys.P @ state.X + sys.B @ np.asarray(anchors.U, dtype=float)
-    new_x = (1.0 - alpha) * state.X + alpha * total
-    return IterationState(np.vstack([state.U, new_x]), t=state.t + 1, alpha=alpha)
 
 
 def flops_per_sensor(mode: str, m: int) -> int:
@@ -181,39 +186,53 @@ def run_to_convergence(
     if step_tol < 0:
         raise EngineError("step_tol must be nonnegative")
     _check_dims(initial, sys, anchors)
-    m = sys.m
+    gain = 1.0 if mode == "diloc" else alpha
+    _check_alpha(gain)
+    U = np.asarray(anchors.U, dtype=float)
     trace = RunTrace(
         mode=mode,
         seed=seed,
-        per_sensor_messages=m + 1,
-        per_sensor_flops=flops_per_sensor(mode, m),
+        per_sensor_messages=sys.m + 1,
+        per_sensor_flops=flops_per_sensor(mode, sys.m),
         n_sensors=sys.M,
     )
-    step_norms, alphas, oracle_errors = [], [], []
-    state = initial
-    for _ in range(int(max_iters)):
-        new = (
-            diloc_step(state, sys, anchors)
-            if mode == "diloc"
-            else diloc_rel_step(state, sys, anchors, alpha)
-        )
-        step_norm = float(np.abs(new.X - state.X).max()) if sys.M else 0.0
-        if not math.isfinite(step_norm):
-            raise NonFiniteStateError(f"step {new.t} left a non-finite sensor state")
-        step_norms.append(step_norm)
-        alphas.append(1.0 if mode == "diloc" else alpha)
+    return _trace_loop(
+        trace, initial.X, lambda _, x: (_relaxed(x, sys, U, gain), gain),
+        max_iters, step_tol, snapshot_stride, oracle, start=initial.t,
+    )
+
+
+def _trace_loop(trace, x, step, max_iters, step_tol, snapshot_stride, oracle, start=0) -> RunTrace:
+    """The iteration loop of every mode, filling ``trace`` in place.
+
+    ``step(k, x)`` returns the state after the k-th step (from 0) and that
+    step's gain. Iterations are numbered from ``start``; the loop stops once
+    a step norm falls below ``step_tol`` and raises NonFiniteStateError at
+    the first non-finite one.
+    """
+    step_norms, gains, oracle_errors = [], [], []
+    x = x.copy()
+    t = start
+    for k in range(int(max_iters)):
+        new, gain = step(k, x)
+        t = start + k + 1
+        norm = float(np.abs(new - x).max()) if len(x) else 0.0
+        if not math.isfinite(norm):
+            raise NonFiniteStateError(f"step {t} left a non-finite sensor state")
+        step_norms.append(norm)
+        gains.append(gain)
         if oracle is not None:
-            oracle_errors.append(float(np.abs(new.X - oracle).max()) if sys.M else 0.0)
-        state = new
-        if snapshot_stride and state.t % snapshot_stride == 0:
-            trace.snapshots.append((state.t, state.X.copy()))
-        if step_norm < step_tol:
-            trace.converged_at = state.t
+            oracle_errors.append(float(np.abs(new - oracle).max()) if len(x) else 0.0)
+        x = new
+        if snapshot_stride and t % snapshot_stride == 0:
+            trace.snapshots.append((t, x.copy()))
+        if norm < step_tol:
+            trace.converged_at = t
             break
-    if not trace.snapshots or trace.snapshots[-1][0] != state.t:
-        trace.snapshots.append((state.t, state.X.copy()))
+    if not trace.snapshots or trace.snapshots[-1][0] != t:
+        trace.snapshots.append((t, x.copy()))
     trace.step_norms = np.array(step_norms)
-    trace.alphas = np.array(alphas)
+    trace.alphas = np.array(gains)
     trace.oracle_errors = np.array(oracle_errors) if oracle is not None else None
-    trace.final_state = state.X.copy()
+    trace.final_state = x
     return trace

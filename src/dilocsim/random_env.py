@@ -16,13 +16,13 @@ be recomputed independently and reproducibly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .engine import IterationState, NonFiniteStateError as EngineNonFiniteStateError, RunTrace
+from .deployment import _u64
+from .engine import IterationState, NonFiniteStateError, RunTrace, _trace_loop
 from .system import AnchorBlock, SingularSystemError, SystemMatrices, exact_locations_oracle
 
 _ENV_STREAM = 301
@@ -34,10 +34,6 @@ SCHEDULE_FAMILIES = ("harmonic", "power")
 
 class RandomEnvError(ValueError):
     pass
-
-
-class NonFiniteStateError(RandomEnvError, EngineNonFiniteStateError):
-    """A robust-iteration step produced a NaN or infinite state."""
 
 
 class PersistenceViolationError(RandomEnvError):
@@ -107,22 +103,8 @@ class NoiseModel:
 
     def link_prob_data(self, sys: SystemMatrices) -> tuple[np.ndarray, np.ndarray]:
         """Per-link alive probabilities aligned with the CSR data arrays."""
-        if np.isscalar(self.link_prob):
-            q = float(self.link_prob)
-            if not 0.0 < q <= 1.0:
-                raise RandomEnvError("link probability must lie in (0, 1]")
-            return (
-                np.full(sys.B.nnz, q),
-                np.full(sys.P.nnz, q),
-            )
-        q_b_full, q_p_full = self.link_prob
-        q_b = _gather_links(np.asarray(q_b_full, dtype=float), sys.B)
-        q_p = _gather_links(np.asarray(q_p_full, dtype=float), sys.P)
-        if (q_b.size and not (0.0 < q_b.min() and q_b.max() <= 1.0)) or (
-            q_p.size and not (0.0 < q_p.min() and q_p.max() <= 1.0)
-        ):
-            raise RandomEnvError("link probabilities must lie in (0, 1]")
-        return q_b, q_p
+        b, p = _layout(self, sys)
+        return b.q, p.q
 
 
 @dataclass(frozen=True)
@@ -155,9 +137,56 @@ class DlreLimit:
     e_l: float
 
 
-def _gather_links(dense: np.ndarray, block: sp.csr_matrix) -> np.ndarray:
-    rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
-    return dense[rows, block.indices]
+@dataclass(frozen=True)
+class _Links:
+    """One block's links in CSR order, built once per run.
+
+    ``cols`` is the sending node of every link and ``slots`` the flat
+    (sensor row, coordinate) output index of every (link, coordinate) pair,
+    so one ``bincount`` sums per-link terms into sensor rows in the order a
+    CSR product would. ``q`` is the alive probability, ``bias`` the weight
+    bias (zero without one) and ``w`` the estimated weight data + bias.
+    """
+
+    cols: np.ndarray
+    slots: np.ndarray
+    q: np.ndarray
+    bias: np.ndarray
+    w: np.ndarray
+
+
+def _layout(model: NoiseModel, sys: SystemMatrices) -> tuple[_Links, _Links]:
+    """B's and P's per-link data, validated; off-link entries are dropped."""
+    scalar = np.isscalar(model.link_prob)
+    if scalar and not 0.0 < float(model.link_prob) <= 1.0:
+        raise RandomEnvError("link probability must lie in (0, 1]")
+    probs = (model.link_prob,) * 2 if scalar else model.link_prob
+    out = []
+    for prob, bias, block in zip(probs, (model.bias_B, model.bias_P), (sys.B, sys.P)):
+        rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
+        if scalar:
+            q = np.full(block.nnz, float(prob))
+        else:
+            q = np.asarray(prob, dtype=float)[rows, block.indices]
+            if q.size and not (0.0 < q.min() and q.max() <= 1.0):
+                raise RandomEnvError("link probabilities must lie in (0, 1]")
+        if bias is None:
+            bias = np.zeros(block.nnz)
+        else:
+            bias = np.asarray(bias, dtype=float)
+            if bias.shape != block.shape:
+                raise RandomEnvError(
+                    f"bias shape {bias.shape} does not match block shape {block.shape}"
+                )
+            bias = bias[rows, block.indices]
+        slots = (rows[:, None] * sys.m + np.arange(sys.m)).ravel()
+        out.append(_Links(block.indices, slots, q, bias, block.data + bias))
+    return out[0], out[1]
+
+
+def _dense(values: np.ndarray, block: sp.csr_matrix) -> np.ndarray:
+    """Per-link values in CSR order, scattered onto the block's support."""
+    return sp.csr_matrix((values, block.indices, block.indptr), shape=block.shape).toarray()
 
 
 def effective_biases(model: NoiseModel, sys: SystemMatrices) -> tuple[np.ndarray, np.ndarray]:
@@ -167,23 +196,34 @@ def effective_biases(model: NoiseModel, sys: SystemMatrices) -> tuple[np.ndarray
     estimates the weights of its own m+1 links, so off-link bias entries are
     meaningless and dropped everywhere (sampling and limit alike).
     """
-    s_b = np.zeros(sys.B.shape)
-    s_p = np.zeros(sys.P.shape)
-    for target, bias, block in ((s_b, model.bias_B, sys.B), (s_p, model.bias_P, sys.P)):
-        if bias is None:
-            continue
-        bias = np.asarray(bias, dtype=float)
-        if bias.shape != block.shape:
-            raise RandomEnvError(
-                f"bias shape {bias.shape} does not match block shape {block.shape}"
-            )
-        rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
-        target[rows, block.indices] = bias[rows, block.indices]
-    return s_b, s_p
+    b, p = _layout(model, sys)
+    return _dense(b.bias, sys.B), _dense(p.bias, sys.P)
 
 
-def _u64(v) -> int:
-    return int(v) & 0xFFFFFFFFFFFFFFFF
+def _zero_mean(rng, sampler, var: float, size) -> np.ndarray:
+    if sampler is not None:
+        return np.asarray(sampler(rng, size), dtype=float)
+    return rng.normal(0.0, np.sqrt(var), size=size)
+
+
+def _draw(model: NoiseModel, links: tuple[_Links, _Links], m: int, t: int, draw: int):
+    """One iteration's draws, deterministic in (seed, t, draw).
+
+    Returns the B and P link masks, weight estimates (data + bias) +
+    fluctuation and channel noise; the noise is None when the model has none.
+    """
+    rng = np.random.default_rng([_u64(model.seed), _ENV_STREAM, _u64(t), _u64(draw)])
+    alive = [(rng.random(l.q.size) < l.q).astype(float) for l in links]
+    w = [l.w for l in links]
+    if model.fluct_var > 0.0 or model.fluct_sampler is not None:
+        w = [l.w + _zero_mean(rng, model.fluct_sampler, model.fluct_var, l.w.size) for l in links]
+    v = None
+    if model.channel_noise_var > 0.0 or model.channel_sampler is not None:
+        v = [
+            _zero_mean(rng, model.channel_sampler, model.channel_noise_var, (l.w.size, m))
+            for l in links
+        ]
+    return alive, w, v
 
 
 def sample_environment(model: NoiseModel, sys: SystemMatrices, t: int, draw: int = 0) -> EnvironmentSample:
@@ -193,45 +233,37 @@ def sample_environment(model: NoiseModel, sys: SystemMatrices, t: int, draw: int
     fluctuations, P weight fluctuations, B channel noise, P channel noise.
     ``draw`` separates independent replications at the same iteration.
     """
-    rng = np.random.default_rng([_u64(model.seed), _ENV_STREAM, _u64(t), _u64(draw)])
-    q_b, q_p = model.link_prob_data(sys)
-    n_b, n_p = sys.B.nnz, sys.P.nnz
-    m = sys.m
-    alive_b = (rng.random(n_b) < q_b).astype(float)
-    alive_p = (rng.random(n_p) < q_p).astype(float)
-    if model.fluct_var > 0.0 or model.fluct_sampler is not None:
-        if model.fluct_sampler is not None:
-            fl_b = np.asarray(model.fluct_sampler(rng, n_b), dtype=float)
-            fl_p = np.asarray(model.fluct_sampler(rng, n_p), dtype=float)
-        else:
-            std = np.sqrt(model.fluct_var)
-            fl_b = rng.normal(0.0, std, size=n_b)
-            fl_p = rng.normal(0.0, std, size=n_p)
-    else:
-        fl_b = np.zeros(n_b)
-        fl_p = np.zeros(n_p)
-    if model.channel_noise_var > 0.0 or model.channel_sampler is not None:
-        if model.channel_sampler is not None:
-            v_b = np.asarray(model.channel_sampler(rng, (n_b, m)), dtype=float)
-            v_p = np.asarray(model.channel_sampler(rng, (n_p, m)), dtype=float)
-        else:
-            std = np.sqrt(model.channel_noise_var)
-            v_b = rng.normal(0.0, std, size=(n_b, m))
-            v_p = rng.normal(0.0, std, size=(n_p, m))
-    else:
-        v_b = np.zeros((n_b, m))
-        v_p = np.zeros((n_p, m))
-    s_b, s_p = effective_biases(model, sys)
-    bias_b = _gather_links(s_b, sys.B) if model.bias_B is not None else np.zeros(n_b)
-    bias_p = _gather_links(s_p, sys.P) if model.bias_P is not None else np.zeros(n_p)
-    return EnvironmentSample(
-        alive_B=alive_b,
-        alive_P=alive_p,
-        b_hat_data=sys.B.data + bias_b + fl_b,
-        p_hat_data=sys.P.data + bias_p + fl_p,
-        v_B=v_b,
-        v_P=v_p,
+    links = _layout(model, sys)
+    alive, w, v = _draw(model, links, sys.m, t, draw)
+    if v is None:
+        v = [np.zeros((l.w.size, sys.m)) for l in links]
+    return EnvironmentSample(alive[0], alive[1], w[0], w[1], v[0], v[1])
+
+
+def _row_sums(links: _Links, terms: np.ndarray, shape) -> np.ndarray:
+    size = shape[0] * shape[1]
+    return np.bincount(links.slots, weights=terms.ravel(), minlength=size).reshape(shape)
+
+
+def _step(x, links, U, model, alpha: float, t: int, draw: int) -> np.ndarray:
+    """dlre_step on a prebuilt layout.
+
+    Each row sum runs over its links in CSR order and the terms are added as
+    (P x + B U) + noise, the order of the sparse products this replaces, so a
+    quiet step with a constant gain equals diloc_rel_step bit for bit.
+    """
+    b, p = links
+    alive, w, v = _draw(model, links, x.shape[1], t, draw)
+    e_b = alive[0] * w[0] / b.q
+    e_p = alive[1] * w[1] / p.q
+    total = _row_sums(p, e_p[:, None] * x[p.cols], x.shape) + _row_sums(
+        b, e_b[:, None] * U[b.cols], x.shape
     )
+    if v is not None:
+        total += _row_sums(p, e_p[:, None] * v[1], x.shape) + _row_sums(
+            b, e_b[:, None] * v[0], x.shape
+        )
+    return (1.0 - alpha) * x + alpha * total
 
 
 def dlre_step(
@@ -251,23 +283,9 @@ def dlre_step(
     With all randomness degenerate and a constant gain this reproduces the
     relaxed deterministic update exactly.
     """
-    sample = sample_environment(model, sys, t, draw)
-    q_b, q_p = model.link_prob_data(sys)
-    alpha = float(schedule(t))
+    links = _layout(model, sys)
     U = np.asarray(anchors.U, dtype=float)
-    eb = sample.alive_B * sample.b_hat_data / q_b
-    ep = sample.alive_P * sample.p_hat_data / q_p
-    EB = sp.csr_matrix((eb, sys.B.indices, sys.B.indptr), shape=sys.B.shape)
-    EP = sp.csr_matrix((ep, sys.P.indices, sys.P.indptr), shape=sys.P.shape)
-    rows_b = np.repeat(np.arange(sys.M), np.diff(sys.B.indptr))
-    rows_p = np.repeat(np.arange(sys.M), np.diff(sys.P.indptr))
-    noise = np.zeros_like(x)
-    for j in range(sys.m):
-        noise[:, j] = np.bincount(
-            rows_p, weights=ep * sample.v_P[:, j], minlength=sys.M
-        ) + np.bincount(rows_b, weights=eb * sample.v_B[:, j], minlength=sys.M)
-    total = EP @ x + EB @ U + noise
-    return (1.0 - alpha) * x + alpha * total
+    return _step(x, links, U, model, float(schedule(t)), t, draw)
 
 
 def run_dlre(
@@ -287,40 +305,21 @@ def run_dlre(
     The gain schedule shrinks the steps whether or not the estimate is good,
     so step_tol defaults to off; the trace is the interesting output.
     """
-    x = initial.X.copy()
-    m = sys.m
+    links = _layout(model, sys)
+    U = np.asarray(anchors.U, dtype=float)
+
+    def step(t, x):
+        alpha = float(schedule(t))
+        return _step(x, links, U, model, alpha, t, 0), alpha
+
     trace = RunTrace(
         mode="dlre",
         seed=model.seed if seed is None else seed,
-        per_sensor_messages=m + 1,
-        per_sensor_flops=2 * m + 3,
+        per_sensor_messages=sys.m + 1,
+        per_sensor_flops=2 * sys.m + 3,
         n_sensors=sys.M,
     )
-    step_norms, alphas, oracle_errors = [], [], []
-    t_final = 0
-    for t in range(int(max_iters)):
-        new = dlre_step(x, sys, anchors, model, schedule, t)
-        step = float(np.abs(new - x).max()) if sys.M else 0.0
-        if not math.isfinite(step):
-            raise NonFiniteStateError(f"step {t + 1} left a non-finite sensor state")
-        step_norms.append(step)
-        alphas.append(float(schedule(t)))
-        if oracle is not None:
-            oracle_errors.append(float(np.abs(new - oracle).max()) if sys.M else 0.0)
-        x = new
-        t_final = t + 1
-        if snapshot_stride and t_final % snapshot_stride == 0:
-            trace.snapshots.append((t_final, x.copy()))
-        if step_tol > 0.0 and step < step_tol:
-            trace.converged_at = t_final
-            break
-    if not trace.snapshots or trace.snapshots[-1][0] != t_final:
-        trace.snapshots.append((t_final, x.copy()))
-    trace.step_norms = np.array(step_norms)
-    trace.alphas = np.array(alphas)
-    trace.oracle_errors = np.array(oracle_errors) if oracle is not None else None
-    trace.final_state = x
-    return trace
+    return _trace_loop(trace, initial.X, step, max_iters, step_tol, snapshot_stride, oracle)
 
 
 def dlre_limit(sys: SystemMatrices, anchors: AnchorBlock, model: NoiseModel) -> DlreLimit:
@@ -330,15 +329,15 @@ def dlre_limit(sys: SystemMatrices, anchors: AnchorBlock, model: NoiseModel) -> 
     the exact positions (I - P)^-1 B U; it vanishes exactly when both biases
     do, whatever the link failures and channel noise.
     """
-    s_b, s_p = effective_biases(model, sys)
+    b, p = _layout(model, sys)
     M = sys.M
     U = np.asarray(anchors.U, dtype=float)
     if M == 0:
         return DlreLimit(np.zeros((0, U.shape[1])), 0.0)
-    if not s_b.any() and not s_p.any():
+    if not b.bias.any() and not p.bias.any():
         # zero bias: the limit is the exact solution by definition
         return DlreLimit(exact_locations_oracle(sys, anchors), 0.0)
-    perturbed = sys.P.toarray() + s_p
+    perturbed = _dense(p.w, sys.P)
     rho = float(np.max(np.abs(np.linalg.eigvals(perturbed))))
     if rho >= 1.0 - 1e-12:
         raise SingularSystemError(
@@ -346,7 +345,7 @@ def dlre_limit(sys: SystemMatrices, anchors: AnchorBlock, model: NoiseModel) -> 
             "the low-error-bias assumption is violated"
         )
     A = np.eye(M) - perturbed
-    rhs = (sys.B.toarray() + s_b) @ U
+    rhs = _dense(b.w, sys.B) @ U
     d_star = np.linalg.solve(A, rhs)
     residual = np.abs(A @ d_star - rhs).max()
     if residual > 1e-9 * max(1.0, np.abs(rhs).max()):
@@ -367,13 +366,11 @@ def random_link_bias(
     rng = np.random.default_rng([_u64(seed), _BIAS_STREAM])
     out = []
     for block in (sys.B, sys.P):
-        dense = np.zeros(block.shape)
+        vals = np.zeros(block.nnz)
         if scale != 0.0 and block.nnz:
             vals = rng.normal(size=block.nnz)
             vals *= scale / np.linalg.norm(vals)
-            rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
-            dense[rows, block.indices] = vals
-        out.append(dense)
+        out.append(_dense(vals, block))
     return out[0], out[1]
 
 

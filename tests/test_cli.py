@@ -110,6 +110,28 @@ class TestPresets:
         with pytest.raises(cli.ConfigInvalidError):
             cli.materialize_preset("nope")
 
+    def test_poisson_preset_hashes_unchanged(self):
+        # the resolved configs, and so every recorded config_hash, are pinned
+        expected = {
+            "deterministic-poisson": "dbdd1efa5f77887928ffd4af84aa3e94368f55d4e81a433c4ae8e03564b3ba2c",
+            "lf-cn": "f3083766b054c0cb122f457cfeefe1897062024eb33accddb9dea894fc1ff379",
+            "noisy-distances": "dc95edd257c9a6bc2dc6c5599a305f103fc7bfe806d6417bd23fd4b0dc00931d",
+            "biased-distances": "612e3d4c631d3f4c340a6b7ee6c044ed4ca32b4faea480e38944ddd93e4c3495",
+            "all-random": "9963f65d6574948170c0511e2b1fef0d30b09efb3fce83c080ce8539f8e66fda",
+        }
+        for name, digest in expected.items():
+            assert cli.parse_config_text(cli.materialize_preset(name)).config_hash() == digest
+
+    def test_preset_lines_editable(self):
+        # scripts rewrite these literal lines of the materialized text
+        for name in cli.preset_names():
+            lines = cli.materialize_preset(name).splitlines()
+            assert lines[0] == f"scenario = {name}"
+            if "algorithm = dlre" in lines:
+                assert "stop.max_iters = 5000" in lines
+            else:
+                assert "algorithm = diloc" in lines
+
 
 class TestRunExperiment:
     def test_fixture_run_artifacts(self, tmp_path):
@@ -241,6 +263,23 @@ class TestRunExperiment:
         J = 0.7 * np.eye(sys_m.M) + 0.3 * sys_m.P.toarray()
         dense = np.max(np.abs(np.linalg.eigvals(J)))
         assert summary["rho_J"] == pytest.approx(dense, abs=1e-10)
+
+
+    def test_rho_p_failure_is_recorded_not_fatal(self, tmp_path, monkeypatch, capsys):
+        def no_convergence(P, *args, **kwargs):
+            raise sysm.NoConvergenceError(0.9994, 10_000)
+
+        monkeypatch.setattr(sysm, "spectral_radius", no_convergence)
+        cfg_path = tmp_path / "rel.cfg"
+        cfg_path.write_text(
+            minimal_cfg(tmp_path, algorithm="diloc_rel", alpha=0.5).canonical_text()
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg_path), "--out", str(out)]) == cli.EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["rho_P"] is None and summary["rho_J"] is None
+        assert "did not converge" in summary["rho_P_error"]
+        assert summary["final_oracle_error"] < 1e-8
 
 
 class TestReplicas:

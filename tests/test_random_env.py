@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dilocsim import deployment as dep
 from dilocsim import engine as eng
@@ -13,6 +16,17 @@ def demo_setup():
     sys = sysm.build_system_matrices(field, tris)
     anchors = sysm.AnchorBlock(field.anchor_block())
     return field, tris, sys, anchors
+
+
+def synthetic_chain(M: int) -> sysm.SystemMatrices:
+    """Planar system without set-up: each row holds one anchor and two sensor
+    links of weight 1/3."""
+    third = np.full(M, 1.0 / 3.0)
+    B = sp.csr_matrix((third, (np.arange(M), np.arange(M) % 3)), shape=(M, 3))
+    rows = np.repeat(np.arange(M), 2)
+    cols = (rows + np.tile([1, 2], M)) % M
+    P = sp.csr_matrix((np.repeat(third, 2), (rows, cols)), shape=(M, M))
+    return sysm.SystemMatrices(B, P, 2).validate()
 
 
 def expected_step(x, sys, anchors, model, alpha):
@@ -237,6 +251,53 @@ class TestDlreRun:
         assert trace.alphas[0] == 1.0
         assert trace.alphas[3] == 0.25
         assert [t for t, _ in trace.snapshots] == [10, 20, 30, 40, 50]
+
+    def test_quiet_constant_gain_run_is_relaxed_run(self):
+        # both runs share one loop: a noise-free DLRE run with a constant
+        # gain is the DILOC-REL run, bit for bit, in every recorded column
+        _, _, sys, anchors = demo_setup()
+        initial = eng.initial_state(anchors, sys.M, seed=4)
+        xstar = sysm.exact_locations_oracle(sys, anchors)
+        alpha = 0.3
+        robust = renv.run_dlre(
+            initial, sys, anchors, renv.NoiseModel(), lambda t: alpha,
+            max_iters=200, snapshot_stride=7, oracle=xstar,
+        )
+        relaxed = eng.run_to_convergence(
+            initial, sys, anchors, mode="diloc_rel", alpha=alpha, step_tol=0,
+            max_iters=200, snapshot_stride=7, oracle=xstar,
+        )
+        assert robust.iterations == relaxed.iterations == 200
+        for got, ref in (
+            (robust.step_norms, relaxed.step_norms),
+            (robust.alphas, relaxed.alphas),
+            (robust.oracle_errors, relaxed.oracle_errors),
+            (robust.final_state, relaxed.final_state),
+        ):
+            assert got.tobytes() == ref.tobytes()
+        assert [t for t, _ in robust.snapshots] == [t for t, _ in relaxed.snapshots]
+        for (_, a), (_, b) in zip(robust.snapshots, relaxed.snapshots):
+            assert a.tobytes() == b.tobytes()
+        assert robust.converged_at is None and relaxed.converged_at is None
+
+    def test_biased_steps_allocate_per_link_only(self):
+        # one dense M x M float array is 32 MB at M = 2000; a step needs only
+        # per-link vectors
+        M = 2000
+        sys = synthetic_chain(M)
+        anchors = sysm.AnchorBlock(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        bias_b, bias_p = renv.random_link_bias(sys, 0.01, seed=3)
+        model = renv.NoiseModel(link_prob=0.9, bias_B=bias_b, bias_P=bias_p, fluct_var=0.01, seed=3)
+        initial = eng.initial_state(anchors, M, seed=3)
+        schedule = renv.make_weight_schedule("harmonic", 1.0)
+        tracemalloc.start()
+        try:
+            trace = renv.run_dlre(initial, sys, anchors, model, schedule, max_iters=20, snapshot_stride=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.iterations == 20
+        assert peak < 8 * 2**20
 
     def test_non_finite_state_raises(self):
         _, _, sys, anchors = demo_setup()

@@ -39,9 +39,7 @@ from .system import (
     SystemMatrices,
     absorbing_check,
     build_system_matrices,
-    dump_matrices,
     exact_locations_oracle,
-    fundamental_matrix_series,
     spectral_radius,
 )
 from .engine import (

@@ -23,7 +23,15 @@ import scipy.sparse as sp
 
 from .deployment import _u64
 from .engine import IterationState, NonFiniteStateError, RunTrace, _trace_loop
-from .system import AnchorBlock, SingularSystemError, SystemMatrices, exact_locations_oracle
+from .system import (
+    AnchorBlock,
+    SingularSystemError,
+    SystemMatrices,
+    _max_abs_eigenvalue,
+    _perron_bound,
+    _solve_identity_minus,
+    exact_locations_oracle,
+)
 
 _ENV_STREAM = 301
 _BIAS_STREAM = 302
@@ -122,12 +130,6 @@ class EnvironmentSample:
     v_B: np.ndarray
     v_P: np.ndarray
 
-    def B_hat(self, sys: SystemMatrices) -> sp.csr_matrix:
-        return sp.csr_matrix((self.b_hat_data, sys.B.indices, sys.B.indptr), shape=sys.B.shape)
-
-    def P_hat(self, sys: SystemMatrices) -> sp.csr_matrix:
-        return sp.csr_matrix((self.p_hat_data, sys.P.indices, sys.P.indptr), shape=sys.P.shape)
-
 
 @dataclass(frozen=True)
 class DlreLimit:
@@ -184,9 +186,9 @@ def _layout(model: NoiseModel, sys: SystemMatrices) -> tuple[_Links, _Links]:
     return out[0], out[1]
 
 
-def _dense(values: np.ndarray, block: sp.csr_matrix) -> np.ndarray:
-    """Per-link values in CSR order, scattered onto the block's support."""
-    return sp.csr_matrix((values, block.indices, block.indptr), shape=block.shape).toarray()
+def _csr(values: np.ndarray, block: sp.csr_matrix) -> sp.csr_matrix:
+    """Per-link values in CSR order, on the block's support."""
+    return sp.csr_matrix((values, block.indices, block.indptr), shape=block.shape)
 
 
 def effective_biases(model: NoiseModel, sys: SystemMatrices) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +199,7 @@ def effective_biases(model: NoiseModel, sys: SystemMatrices) -> tuple[np.ndarray
     meaningless and dropped everywhere (sampling and limit alike).
     """
     b, p = _layout(model, sys)
-    return _dense(b.bias, sys.B), _dense(p.bias, sys.P)
+    return _csr(b.bias, sys.B).toarray(), _csr(p.bias, sys.P).toarray()
 
 
 def _zero_mean(rng, sampler, var: float, size) -> np.ndarray:
@@ -330,26 +332,23 @@ def dlre_limit(sys: SystemMatrices, anchors: AnchorBlock, model: NoiseModel) -> 
     do, whatever the link failures and channel noise.
     """
     b, p = _layout(model, sys)
-    M = sys.M
     U = np.asarray(anchors.U, dtype=float)
-    if M == 0:
+    if sys.M == 0:
         return DlreLimit(np.zeros((0, U.shape[1])), 0.0)
     if not b.bias.any() and not p.bias.any():
         # zero bias: the limit is the exact solution by definition
         return DlreLimit(exact_locations_oracle(sys, anchors), 0.0)
-    perturbed = _dense(p.w, sys.P)
-    rho = float(np.max(np.abs(np.linalg.eigvals(perturbed))))
-    if rho >= 1.0 - 1e-12:
-        raise SingularSystemError(
-            f"spectral radius of the biased sensor block is {rho:.6g}; "
-            "the low-error-bias assumption is violated"
-        )
-    A = np.eye(M) - perturbed
-    rhs = _dense(b.w, sys.B) @ U
-    d_star = np.linalg.solve(A, rhs)
-    residual = np.abs(A @ d_star - rhs).max()
-    if residual > 1e-9 * max(1.0, np.abs(rhs).max()):
-        raise SingularSystemError(f"biased solve residual {residual:.3e} too large")
+    perturbed = _csr(p.w, sys.P)
+    # rho(P + S_P) <= rho(|P + S_P|), which one sparse solve bounds; the radius
+    # itself decides only when that bound cannot certify the assumption
+    if _perron_bound(abs(perturbed)) >= 1.0 - 1e-12:
+        rho = _max_abs_eigenvalue(perturbed)
+        if rho >= 1.0 - 1e-12:
+            raise SingularSystemError(
+                f"spectral radius of the biased sensor block is {rho:.6g}; "
+                "the low-error-bias assumption is violated"
+            )
+    d_star = _solve_identity_minus(perturbed, _csr(b.w, sys.B) @ U, 1e-9, "biased solve")
     x_star = exact_locations_oracle(sys, anchors)
     e_l = float(np.linalg.norm(d_star - x_star))
     return DlreLimit(d_star, e_l)
@@ -370,7 +369,7 @@ def random_link_bias(
         if scale != 0.0 and block.nnz:
             vals = rng.normal(size=block.nnz)
             vals *= scale / np.linalg.norm(vals)
-        out.append(_dense(vals, block))
+        out.append(_csr(vals, block).toarray())
     return out[0], out[1]
 
 

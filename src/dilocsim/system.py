@@ -16,9 +16,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-_DENSE_EIG_MAX = 2000  # fallback eigensolve cap
-_DIRECT_SOLVE_MAX = 5000  # direct sparse factorization cap
-
 
 class SystemMatrixError(ValueError):
     """Base class for system construction/solve errors."""
@@ -107,13 +104,63 @@ def build_system_matrices(field, tris) -> SystemMatrices:
     return SystemMatrices(B, P, m).validate()
 
 
-def spectral_radius(P, tol=1e-10, max_iters=10_000, seed=0, dense_fallback_max=_DENSE_EIG_MAX):
+def _max_abs_eigenvalue(A: sp.csr_matrix, v0: np.ndarray | None = None) -> float:
+    """Largest eigenvalue modulus of a square sparse matrix.
+
+    ARPACK (``eigs``, k = 1) from ``v0``, or from a seeded positive vector so
+    that repeated calls agree; it needs at least three rows and a nonzero
+    matrix, so smaller matrices take a dense eigensolve. ARPACK failures
+    propagate.
+    """
+    n = A.shape[0]
+    if not A.data.any():
+        return 0.0
+    if n < 3:
+        return float(np.max(np.abs(np.linalg.eigvals(A.toarray()))))
+    if v0 is None:
+        v0 = np.random.default_rng(0).uniform(0.5, 1.5, size=n)
+    return float(np.abs(spla.eigs(A, k=1, which="LM", v0=v0, return_eigenvectors=False)).max())
+
+
+def _solve_identity_minus(T: sp.csr_matrix, rhs: np.ndarray, rtol: float, what: str) -> np.ndarray:
+    """(I - T)^-1 rhs by sparse LU, with its residual checked against ``rtol``."""
+    A = (sp.identity(T.shape[0], format="csr") - T).tocsc()
+    try:
+        X = spla.splu(A).solve(rhs)
+    except RuntimeError as exc:
+        raise SingularSystemError(f"factorization of I - P failed: {exc}") from exc
+    scale = max(1.0, float(np.abs(rhs).max()))
+    residual = np.abs(A @ X - rhs).max()
+    if not np.isfinite(X).all() or residual > rtol * scale:
+        raise SingularSystemError(
+            f"{what} residual {residual:.3e} too large; spectral radius is not below one"
+        )
+    return X
+
+
+def _perron_bound(N: sp.csr_matrix) -> float:
+    """An upper bound on rho(N) for a nonnegative square N, below one iff rho(N) is.
+
+    Collatz-Wielandt: rho(N) <= max_i (N y)_i / y_i for every positive y. With
+    rho(N) < 1, y = (I - N)^-1 1 = sum_k N^k 1 >= 1 gives 1 - 1/max(y); for a
+    substochastic N that is one over the longest expected time to absorption.
+    Infinite when that solve fails or y is not positive.
+    """
+    try:
+        # any positive y gives a valid bound, so only a non-finite solve is rejected
+        y = _solve_identity_minus(N, np.ones(N.shape[0]), np.inf, "bound")
+    except SingularSystemError:
+        return np.inf
+    return float(np.max((N @ y) / y)) if y.min() > 0.0 else np.inf
+
+
+def spectral_radius(P, tol=1e-10, max_iters=10_000, seed=0):
     """Largest eigenvalue modulus of a nonnegative square matrix.
 
     Power iteration from a seeded positive start vector; if the norm-ratio
-    estimate has not settled at the cap (periodic or otherwise defective
-    cases) a dense eigensolve takes over for matrices up to
-    ``dense_fallback_max``, else NoConvergenceError reports the best estimate.
+    estimate has not settled at the cap (periodic or slowly mixing chains)
+    ARPACK takes over, warm-started from the last power vector. Only if
+    ARPACK fails too does NoConvergenceError report the power estimate.
     """
     A = sp.csr_matrix(P) if not sp.issparse(P) else P.tocsr()
     n = A.shape[0]
@@ -126,68 +173,35 @@ def spectral_radius(P, tol=1e-10, max_iters=10_000, seed=0, dense_fallback_max=_
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.5, 1.5, size=n)
     x /= np.linalg.norm(x)
+    y = A @ x
     lam = 0.0
     for _ in range(max_iters):
-        y = A @ x
         lam = float(np.linalg.norm(y))
         if lam == 0.0:
             return 0.0
         x = y / lam
+        # A @ x is both this step's residual term and the next step's product;
         # converged when x is an eigenvector to working precision
-        residual = float(np.linalg.norm(A @ x - lam * x))
+        y = A @ x
+        residual = float(np.linalg.norm(y - lam * x))
         if residual <= tol * max(lam, 1e-30):
             return lam
-    if n <= dense_fallback_max:
-        return float(np.max(np.abs(np.linalg.eigvals(A.toarray()))))
-    raise NoConvergenceError(lam, max_iters)
+    try:
+        return _max_abs_eigenvalue(A, v0=x)
+    except spla.ArpackNoConvergence as exc:
+        raise NoConvergenceError(lam, max_iters) from exc
 
 
 def exact_locations_oracle(sys: SystemMatrices, anchors: AnchorBlock) -> np.ndarray:
     """Closed-form sensor positions (I - P)^-1 B U.
 
-    Direct sparse factorization up to a few thousand sensors, iterative solve
-    past that; either way the residual is checked to well below the accuracy
-    of anything this oracle validates.
+    One sparse LU factorization at every size; the residual is checked to
+    well below the accuracy of anything this oracle validates.
     """
-    M = sys.M
     U = np.asarray(anchors.U, dtype=float)
-    rhs = sys.B @ U
-    if M == 0:
+    if sys.M == 0:
         return np.zeros((0, U.shape[1]))
-    A = (sp.identity(M, format="csr") - sys.P).tocsc()
-    try:
-        if M <= _DIRECT_SOLVE_MAX:
-            lu = spla.splu(A)
-            X = lu.solve(rhs)
-        else:
-            X = np.empty_like(rhs)
-            for j in range(rhs.shape[1]):
-                X[:, j], info = spla.lgmres(A, rhs[:, j], rtol=1e-13, atol=0.0)
-                if info != 0:
-                    raise SingularSystemError("iterative solve failed to converge")
-    except RuntimeError as exc:
-        raise SingularSystemError(f"factorization of I - P failed: {exc}") from exc
-    scale = max(1.0, float(np.abs(rhs).max()))
-    residual = np.abs(A @ X - rhs).max() if M else 0.0
-    if not np.isfinite(X).all() or residual > 1e-10 * scale:
-        raise SingularSystemError(
-            f"solve residual {residual:.3e} too large; spectral radius of P is not below one"
-        )
-    return X
-
-
-def fundamental_matrix_series(P, terms: int) -> np.ndarray:
-    """Truncated transient-power series sum_{k=0}^{terms} P^k (k = 0 gives I).
-
-    Converges to (I - P)^-1 when the spectral radius of P is below one.
-    """
-    A = sp.csr_matrix(P) if not sp.issparse(P) else P
-    n = A.shape[0]
-    eye = np.eye(n)
-    total = np.eye(n)
-    for _ in range(int(terms)):
-        total = eye + A @ total  # Horner form of the power sum
-    return total
+    return _solve_identity_minus(sys.P, sys.B @ U, 1e-10, "solve")
 
 
 def absorbing_check(sys: SystemMatrices) -> bool:
@@ -207,18 +221,3 @@ def absorbing_check(sys: SystemMatrices) -> bool:
             break
         reach = grown
     return bool(reach.all())
-
-
-def dump_matrices(sys: SystemMatrices, path):
-    """Coordinate-list text dump of both blocks for external diffing.
-
-    One line per nonzero: block name, 1-based row, 1-based column, value.
-    """
-    lines = ["# block\trow\tcol\tvalue (1-based block-local indices)"]
-    for name, block in (("B", sys.B), ("P", sys.P)):
-        coo = block.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for i in order:
-            lines.append(f"{name}\t{coo.row[i] + 1}\t{coo.col[i] + 1}\t{coo.data[i]:.17g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -9,6 +9,7 @@ these, never the other way around.
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def det_cofactor(mat):
@@ -185,3 +186,60 @@ def reference_triangulate_sensor(field, l, r0, growth=1.25):
         if n_c >= field.n_nodes - 1:
             return radius, None
         radius *= growth
+
+
+# ---------------------------------------------------------------------------
+# Dense and text views of the system blocks, and a synthetic system.
+# ---------------------------------------------------------------------------
+
+
+def synthetic_chain(M: int):
+    """Planar system without set-up: each row holds one anchor and two sensor
+    links of weight 1/3, so P = (S + S^2) / 3 for the cyclic shift S and
+    rho(P) = 2/3."""
+    from dilocsim.system import SystemMatrices
+
+    third = np.full(M, 1.0 / 3.0)
+    B = sp.csr_matrix((third, (np.arange(M), np.arange(M) % 3)), shape=(M, 3))
+    rows = np.repeat(np.arange(M), 2)
+    cols = (rows + np.tile([1, 2], M)) % M
+    P = sp.csr_matrix((np.repeat(third, 2), (rows, cols)), shape=(M, M))
+    return SystemMatrices(B, P, 2).validate()
+
+
+def fundamental_matrix_series(P, terms: int) -> np.ndarray:
+    """Truncated transient-power series sum_{k=0}^{terms} P^k (k = 0 gives I).
+
+    Converges to (I - P)^-1 when the spectral radius of P is below one.
+    Dense, O(M^3) per term.
+    """
+    A = sp.csr_matrix(P) if not sp.issparse(P) else P
+    n = A.shape[0]
+    eye = np.eye(n)
+    total = np.eye(n)
+    for _ in range(int(terms)):
+        total = eye + A @ total  # Horner form of the power sum
+    return total
+
+
+def dump_matrices(sys, path):
+    """Coordinate-list text dump of both blocks for external diffing.
+
+    One line per nonzero: block name, 1-based row, 1-based column, value.
+    """
+    lines = ["# block\trow\tcol\tvalue (1-based block-local indices)"]
+    for name, block in (("B", sys.B), ("P", sys.P)):
+        coo = block.tocoo()
+        order = np.lexsort((coo.col, coo.row))
+        for i in order:
+            lines.append(f"{name}\t{coo.row[i] + 1}\t{coo.col[i] + 1}\t{coo.data[i]:.17g}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def estimated_blocks(sample, sys):
+    """An EnvironmentSample's estimated weights as CSR blocks (B_hat, P_hat)."""
+    return tuple(
+        sp.csr_matrix((data, block.indices, block.indptr), shape=block.shape)
+        for data, block in ((sample.b_hat_data, sys.B), (sample.p_hat_data, sys.P))
+    )

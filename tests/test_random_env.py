@@ -2,12 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from dilocsim import deployment as dep
 from dilocsim import engine as eng
 from dilocsim import random_env as renv
 from dilocsim import system as sysm
+from helpers import estimated_blocks, synthetic_chain
 
 
 def demo_setup():
@@ -16,17 +16,6 @@ def demo_setup():
     sys = sysm.build_system_matrices(field, tris)
     anchors = sysm.AnchorBlock(field.anchor_block())
     return field, tris, sys, anchors
-
-
-def synthetic_chain(M: int) -> sysm.SystemMatrices:
-    """Planar system without set-up: each row holds one anchor and two sensor
-    links of weight 1/3."""
-    third = np.full(M, 1.0 / 3.0)
-    B = sp.csr_matrix((third, (np.arange(M), np.arange(M) % 3)), shape=(M, 3))
-    rows = np.repeat(np.arange(M), 2)
-    cols = (rows + np.tile([1, 2], M)) % M
-    P = sp.csr_matrix((np.repeat(third, 2), (rows, cols)), shape=(M, M))
-    return sysm.SystemMatrices(B, P, 2).validate()
 
 
 def expected_step(x, sys, anchors, model, alpha):
@@ -74,7 +63,7 @@ class TestSampling:
         np.testing.assert_array_equal(s.b_hat_data, sys.B.data)
         np.testing.assert_array_equal(s.p_hat_data, sys.P.data)
         assert not s.v_B.any() and not s.v_P.any()
-        np.testing.assert_array_equal(s.B_hat(sys).toarray(), sys.B.toarray())
+        np.testing.assert_array_equal(estimated_blocks(s, sys)[0].toarray(), sys.B.toarray())
 
     def test_link_alive_frequency(self):
         _, _, sys, _ = demo_setup()
@@ -336,6 +325,48 @@ class TestDlreLimit:
         model = renv.NoiseModel(bias_P=sys.P.toarray(), seed=0)
         with pytest.raises(sysm.SingularSystemError):
             renv.dlre_limit(sys, anchors, model)
+
+    @pytest.mark.parametrize("M", [50, 500, 2000])
+    def test_biased_limit_matches_dense_solve(self, M):
+        sys = synthetic_chain(M)
+        anchors = sysm.AnchorBlock(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        bias_b, bias_p = renv.random_link_bias(sys, 0.01, seed=5)
+        limit = renv.dlre_limit(sys, anchors, renv.NoiseModel(bias_B=bias_b, bias_P=bias_p))
+        P, B, U = sys.P.toarray(), sys.B.toarray(), anchors.U
+        d_ref = np.linalg.solve(np.eye(M) - P - bias_p, (B + bias_b) @ U)
+        x_ref = np.linalg.solve(np.eye(M) - P, B @ U)
+        e_ref = np.linalg.norm(d_ref - x_ref)
+        np.testing.assert_allclose(limit.d_star, d_ref, rtol=0.0, atol=1e-10)
+        assert limit.e_l == pytest.approx(e_ref, rel=1e-12)
+
+    def test_sign_mixed_bias_is_decided_by_the_radius(self):
+        # P + S_P is the circulant with first row (0, a, -a): radius a * sqrt(3) < 1,
+        # while |P + S_P| has radius 2a > 1 and cannot certify it
+        a = 0.55
+        sys = synthetic_chain(3)
+        anchors = sysm.AnchorBlock(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        target = a * (np.roll(np.eye(3), 1, axis=1) - np.roll(np.eye(3), 2, axis=1))
+        limit = renv.dlre_limit(sys, anchors, renv.NoiseModel(bias_P=target - sys.P.toarray()))
+        d_ref = np.linalg.solve(np.eye(3) - target, sys.B.toarray() @ anchors.U)
+        np.testing.assert_allclose(limit.d_star, d_ref, rtol=0.0, atol=1e-12)
+
+    def test_biased_limit_allocates_per_link_only(self):
+        # one dense M x M float array is 200 MB at M = 5000; constant biases
+        # as zero-stride views keep the model itself small
+        M = 5000
+        sys = synthetic_chain(M)
+        anchors = sysm.AnchorBlock(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        model = renv.NoiseModel(
+            bias_B=np.broadcast_to(1e-3, sys.B.shape), bias_P=np.broadcast_to(1e-3, sys.P.shape)
+        )
+        tracemalloc.start()
+        try:
+            limit = renv.dlre_limit(sys, anchors, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert limit.e_l > 0.0
+        assert peak < 16 * 2**20
 
     def test_off_link_bias_is_ignored(self):
         _, _, sys, anchors = demo_setup()

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from dilocsim import deployment as dep
 from dilocsim import system as sysm
+from helpers import dump_matrices, fundamental_matrix_series, synthetic_chain
 
 
 def demo_system():
@@ -86,10 +87,25 @@ class TestSpectralRadius:
         lopsided = np.array([[0.0, 2.0], [0.125, 0.0]])
         assert sysm.spectral_radius(lopsided) == pytest.approx(0.5, abs=1e-12)
 
-    def test_no_convergence_reports_estimate(self):
-        lopsided = np.array([[0.0, 2.0], [0.125, 0.0]])
+    def test_fallback_after_cap_matches_dense_eigensolve(self):
+        # three power steps cannot settle, so ARPACK gives the value
+        _, sys, _ = random_system(12)
+        assert sys.M >= 3
+        expected = np.max(np.abs(np.linalg.eigvals(sys.P.toarray())))
+        assert sysm.spectral_radius(sys.P, max_iters=3) == pytest.approx(expected, abs=1e-10)
+        # a 3-cycle, eigenvalues the cube roots of 2 * 0.5 * 0.125
+        cycle = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.5], [0.125, 0.0, 0.0]])
+        assert sysm.spectral_radius(cycle, max_iters=50) == pytest.approx(0.5, abs=1e-12)
+
+    def test_no_convergence_reports_estimate(self, monkeypatch):
+        def arpack_fails(*args, **kwargs):
+            raise sysm.spla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+        monkeypatch.setattr(sysm.spla, "eigs", arpack_fails)
+        cycle = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.5], [0.125, 0.0, 0.0]])
         with pytest.raises(sysm.NoConvergenceError) as exc:
-            sysm.spectral_radius(lopsided, max_iters=50, dense_fallback_max=0, seed=1)
+            sysm.spectral_radius(cycle, max_iters=50, seed=1)
+        assert exc.value.iterations == 50
         assert 0.0 < exc.value.estimate <= 2.0
 
 
@@ -122,6 +138,18 @@ class TestExactOracle:
         residual = np.abs(A @ X - sys.B @ anchors.U).max()
         assert residual < 1e-10
 
+    def test_large_chain_meets_residual_bound(self):
+        sys = synthetic_chain(10_000)
+        anchors = sysm.AnchorBlock(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        X = sysm.exact_locations_oracle(sys, anchors)
+        rhs = sys.B @ anchors.U
+        assert np.abs(X - sys.P @ X - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
+        # fixed-point iteration as an independent reference: rho(P) = 2/3
+        ref = np.zeros_like(rhs)
+        for _ in range(120):
+            ref = sys.P @ ref + rhs
+        np.testing.assert_allclose(X, ref, rtol=0.0, atol=1e-12)
+
     def test_singular_system_raises(self):
         # two sensors feeding only each other never reach an anchor
         B = sp.csr_matrix((2, 3))
@@ -133,11 +161,11 @@ class TestExactOracle:
 
 class TestFundamentalSeries:
     def test_zero_terms_is_identity(self):
-        out = sysm.fundamental_matrix_series(sp.csr_matrix((2, 2)), 0)
+        out = fundamental_matrix_series(sp.csr_matrix((2, 2)), 0)
         np.testing.assert_array_equal(out, np.eye(2))
 
     def test_scalar_geometric_sum(self):
-        out = sysm.fundamental_matrix_series(np.array([[0.5]]), 20)
+        out = fundamental_matrix_series(np.array([[0.5]]), 20)
         # geometric oracle: sum_{k=0}^{20} (1/2)^k = 2 - 2^-20
         expected = 2.0 - 0.5**20
         assert out[0, 0] == pytest.approx(expected, abs=1e-15)
@@ -150,7 +178,7 @@ class TestFundamentalSeries:
         rho = sysm.spectral_radius(P)
         inv = np.linalg.inv(np.eye(sys.M) - P.toarray())
         ts = np.arange(10, 60, 5)
-        errs = [np.abs(sysm.fundamental_matrix_series(P, t) - inv).max() for t in ts]
+        errs = [np.abs(fundamental_matrix_series(P, t) - inv).max() for t in ts]
         slope = np.polyfit(ts, np.log(errs), 1)[0]
         assert math.exp(slope) == pytest.approx(rho, abs=0.05)
 
@@ -159,7 +187,7 @@ class TestFundamentalSeries:
         X = sysm.exact_locations_oracle(sys, anchors)
         rho = sysm.spectral_radius(sys.P)
         T = int(math.ceil(math.log(1e-10) / math.log(rho))) if rho > 0 else 1
-        approx = sysm.fundamental_matrix_series(sys.P, T) @ (sys.B @ anchors.U)
+        approx = fundamental_matrix_series(sys.P, T) @ (sys.B @ anchors.U)
         np.testing.assert_allclose(approx, X, atol=1e-8)
 
 
@@ -197,7 +225,7 @@ class TestDump:
     def test_dump_roundtrip(self, tmp_path):
         _, sys, _ = demo_system()
         path = tmp_path / "mats.tsv"
-        sysm.dump_matrices(sys, path)
+        dump_matrices(sys, path)
         lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
         assert len(lines) == sys.B.nnz + sys.P.nnz
         got_b = np.zeros(sys.B.shape)
@@ -214,6 +242,6 @@ class TestDump:
     def test_dump_is_deterministic(self, tmp_path):
         _, sys, _ = demo_system()
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        sysm.dump_matrices(sys, a)
-        sysm.dump_matrices(sys, b)
+        dump_matrices(sys, a)
+        dump_matrices(sys, b)
         assert a.read_bytes() == b.read_bytes()

@@ -405,6 +405,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None) -> d
             oracle=truth,
             seed=seed,
         )
+        # observed geometric decay of the step norms, to set beside rho_P (rho_J)
+        summary["decay_rate"] = trace.decay_rate_estimate()
         if algo == "diloc_rel":
             summary["alpha"] = alpha
             # J = (1 - alpha) I + alpha P has eigenvalues 1 - alpha + alpha * lambda(P),

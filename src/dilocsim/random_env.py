@@ -28,7 +28,7 @@ from .system import (
     SingularSystemError,
     SystemMatrices,
     _max_abs_eigenvalue,
-    _perron_bound,
+    _perron_bracket,
     _solve_identity_minus,
     exact_locations_oracle,
 )
@@ -339,15 +339,15 @@ def dlre_limit(sys: SystemMatrices, anchors: AnchorBlock, model: NoiseModel) -> 
         # zero bias: the limit is the exact solution by definition
         return DlreLimit(exact_locations_oracle(sys, anchors), 0.0)
     perturbed = _csr(p.w, sys.P)
-    # rho(P + S_P) <= rho(|P + S_P|), which one sparse solve bounds; the radius
-    # itself decides only when that bound cannot certify the assumption
-    if _perron_bound(abs(perturbed)) >= 1.0 - 1e-12:
-        rho = _max_abs_eigenvalue(perturbed)
-        if rho >= 1.0 - 1e-12:
-            raise SingularSystemError(
-                f"spectral radius of the biased sensor block is {rho:.6g}; "
-                "the low-error-bias assumption is violated"
-            )
+    # rho(P + S_P) <= rho(|P + S_P|), with equality when no biased weight is
+    # negative; otherwise the signed radius decides what the bracket cannot
+    limit = 1.0 - 1e-12
+    lo, hi, _ = _perron_bracket(abs(perturbed), threshold=limit)
+    if hi >= limit and (perturbed.data.min() >= 0.0 or _max_abs_eigenvalue(perturbed) >= limit):
+        raise SingularSystemError(
+            f"spectral radius of the biased sensor block is not below {limit!r} (that of "
+            f"|P + S_P| is in [{lo:.6g}, {hi:.6g}]); the low-error-bias assumption is violated"
+        )
     d_star = _solve_identity_minus(perturbed, _csr(b.w, sys.B) @ U, 1e-9, "biased solve")
     x_star = exact_locations_oracle(sys, anchors)
     e_l = float(np.linalg.norm(d_star - x_star))

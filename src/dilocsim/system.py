@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 
 class SystemMatrixError(ValueError):
@@ -30,14 +31,16 @@ class SingularSystemError(SystemMatrixError):
 
 
 class NoConvergenceError(SystemMatrixError):
-    """Spectral radius iteration hit its cap; carries the best estimate."""
+    """The spectral radius bracket (lo, hi) did not close within its solve cap."""
 
-    def __init__(self, estimate: float, iterations: int):
+    def __init__(self, estimate: float, iterations: int, bracket=None):
         self.estimate = float(estimate)
         self.iterations = int(iterations)
+        self.bracket = (self.estimate,) * 2 if bracket is None else tuple(map(float, bracket))
+        lo, hi = self.bracket
         super().__init__(
-            f"power iteration did not converge in {iterations} iterations; "
-            f"best estimate {estimate:.12g}"
+            f"spectral radius did not converge in {iterations} solves; it lies in "
+            f"[{lo:.12g}, {hi:.12g}], estimate {estimate:.12g}"
         )
 
 
@@ -104,21 +107,17 @@ def build_system_matrices(field, tris) -> SystemMatrices:
     return SystemMatrices(B, P, m).validate()
 
 
-def _max_abs_eigenvalue(A: sp.csr_matrix, v0: np.ndarray | None = None) -> float:
-    """Largest eigenvalue modulus of a square sparse matrix.
+def _max_abs_eigenvalue(A: sp.csr_matrix) -> float:
+    """Largest eigenvalue modulus of a nonzero square sparse matrix of either sign.
 
-    ARPACK (``eigs``, k = 1) from ``v0``, or from a seeded positive vector so
-    that repeated calls agree; it needs at least three rows and a nonzero
-    matrix, so smaller matrices take a dense eigensolve. ARPACK failures
-    propagate.
+    ARPACK (``eigs``, k = 1) from a seeded positive start vector, so that
+    repeated calls agree; it needs at least three rows, so smaller matrices
+    take a dense eigensolve. ARPACK failures propagate.
     """
     n = A.shape[0]
-    if not A.data.any():
-        return 0.0
     if n < 3:
         return float(np.max(np.abs(np.linalg.eigvals(A.toarray()))))
-    if v0 is None:
-        v0 = np.random.default_rng(0).uniform(0.5, 1.5, size=n)
+    v0 = np.random.default_rng(0).uniform(0.5, 1.5, size=n)
     return float(np.abs(spla.eigs(A, k=1, which="LM", v0=v0, return_eigenvectors=False)).max())
 
 
@@ -138,58 +137,56 @@ def _solve_identity_minus(T: sp.csr_matrix, rhs: np.ndarray, rtol: float, what: 
     return X
 
 
-def _perron_bound(N: sp.csr_matrix) -> float:
-    """An upper bound on rho(N) for a nonnegative square N, below one iff rho(N) is.
+# sparse LU of an M-matrix without row exchanges: factors of fixed sign
+_UNPIVOTED = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
 
-    Collatz-Wielandt: rho(N) <= max_i (N y)_i / y_i for every positive y. With
-    rho(N) < 1, y = (I - N)^-1 1 = sum_k N^k 1 >= 1 gives 1 - 1/max(y); for a
-    substochastic N that is one over the longest expected time to absorption.
-    Infinite when that solve fails or y is not positive.
+
+def _perron_bracket(T: sp.csr_matrix, max_iters=50, threshold=None):
+    """Collatz-Wielandt bracket lo <= rho(T) <= hi for a nonnegative square T.
+
+    Links between strong components are dropped first: rho is the largest
+    radius of the diagonal blocks, each irreducible or a single entry (so a
+    nilpotent T gives [0, 0] at once). Then Noda's iteration solves
+    (sigma I - T) y = y with sigma just above hi; the inverse is nonnegative
+    and the unpivoted factors keep y positive, so max (T y)_i / y_i bounds
+    rho from above and, per block, the minimum from below. Stops once
+    hi - lo <= 1e-12 hi or the bracket lies on one side of ``threshold``.
+    Returns (lo, hi, solves).
     """
-    try:
-        # any positive y gives a valid bound, so only a non-finite solve is rejected
-        y = _solve_identity_minus(N, np.ones(N.shape[0]), np.inf, "bound")
-    except SingularSystemError:
-        return np.inf
-    return float(np.max((N @ y) / y)) if y.min() > 0.0 else np.inf
+    links = T.multiply(T > 0).tocoo()  # an explicit zero is no link
+    blocks, label = connected_components(links, connection="strong")
+    inner = label[links.row] == label[links.col]
+    T = sp.csr_matrix((links.data[inner], (links.row[inner], links.col[inner])), shape=T.shape)
+    lo, hi, y = 0.0, np.inf, np.ones(T.shape[0])
+    for solves in range(max_iters + 1):
+        if solves:
+            y = spla.splu((sigma * sp.identity(T.shape[0]) - T).tocsc(), **_UNPIVOTED).solve(y)
+            y = np.maximum(y / y.max(), np.finfo(float).tiny)
+        ratio = (T @ y) / y
+        block_min = np.full(blocks, np.inf)
+        np.minimum.at(block_min, label, ratio)
+        hi, lo = min(hi, float(ratio.max())), max(lo, float(block_min.max()))
+        if hi - lo <= 1e-12 * hi or (threshold is not None and not lo < threshold <= hi):
+            return lo, hi, solves
+        sigma = hi * (1.0 + 2.0**-40)
+    raise NoConvergenceError(0.5 * (lo + hi), max_iters, (lo, hi))
 
 
-def spectral_radius(P, tol=1e-10, max_iters=10_000, seed=0):
+def spectral_radius(P, max_iters=50):
     """Largest eigenvalue modulus of a nonnegative square matrix.
 
-    Power iteration from a seeded positive start vector; if the norm-ratio
-    estimate has not settled at the cap (periodic or slowly mixing chains)
-    ARPACK takes over, warm-started from the last power vector. Only if
-    ARPACK fails too does NoConvergenceError report the power estimate.
+    The midpoint of its Perron bracket once that closes to a relative 1e-12
+    within ``max_iters`` solves; NoConvergenceError carries it otherwise.
     """
-    A = sp.csr_matrix(P) if not sp.issparse(P) else P.tocsr()
-    n = A.shape[0]
+    A = sp.csr_matrix(P)
     if A.shape[0] != A.shape[1]:
         raise SystemMatrixError("matrix must be square")
-    if n == 0 or A.nnz == 0:
+    if A.shape[0] == 0:
         return 0.0
-    if A.data.min() < 0.0:
+    if A.nnz and A.data.min() < 0.0:
         raise SystemMatrixError("matrix must be nonnegative")
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.5, 1.5, size=n)
-    x /= np.linalg.norm(x)
-    y = A @ x
-    lam = 0.0
-    for _ in range(max_iters):
-        lam = float(np.linalg.norm(y))
-        if lam == 0.0:
-            return 0.0
-        x = y / lam
-        # A @ x is both this step's residual term and the next step's product;
-        # converged when x is an eigenvector to working precision
-        y = A @ x
-        residual = float(np.linalg.norm(y - lam * x))
-        if residual <= tol * max(lam, 1e-30):
-            return lam
-    try:
-        return _max_abs_eigenvalue(A, v0=x)
-    except spla.ArpackNoConvergence as exc:
-        raise NoConvergenceError(lam, max_iters) from exc
+    lo, hi, _ = _perron_bracket(A, max_iters)
+    return 0.5 * (lo + hi)
 
 
 def exact_locations_oracle(sys: SystemMatrices, anchors: AnchorBlock) -> np.ndarray:

@@ -263,6 +263,22 @@ class TestRunExperiment:
         J = 0.7 * np.eye(sys_m.M) + 0.3 * sys_m.P.toarray()
         dense = np.max(np.abs(np.linalg.eigvals(J)))
         assert summary["rho_J"] == pytest.approx(dense, abs=1e-10)
+        assert abs(summary["decay_rate"] - summary["rho_J"]) <= 0.05
+
+    def test_decay_rate_tracks_rho_p(self, tmp_path):
+        cfg = cli.parse_config_text(cli.materialize_preset("deterministic-poisson"))
+        summary = cli.run_experiment(cfg, tmp_path / "out")
+        assert abs(summary["decay_rate"] - summary["rho_P"]) <= 0.05
+
+    def test_rho_p_bracket_is_tight_on_poisson_presets(self):
+        names = [n for n in cli.preset_names() if "field.source = poisson" in cli.materialize_preset(n)]
+        assert len(names) == 5
+        for name in names:
+            cfg = cli.parse_config_text(cli.materialize_preset(name))
+            field = cli._build_field(cfg, cfg["seed"])
+            P = sysm.build_system_matrices(field, dep.triangulate_all(field)).P
+            lo, hi, _ = sysm._perron_bracket(P)
+            assert hi - lo <= 1e-10 * hi
 
 
     def test_rho_p_failure_is_recorded_not_fatal(self, tmp_path, monkeypatch, capsys):
@@ -279,6 +295,7 @@ class TestRunExperiment:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["rho_P"] is None and summary["rho_J"] is None
         assert "did not converge" in summary["rho_P_error"]
+        assert "[0.9994, 0.9994]" in summary["rho_P_error"]
         assert summary["final_oracle_error"] < 1e-8
 
 

@@ -152,14 +152,6 @@ def validate_distance_matrix(raw, ids=None) -> DistanceMatrix:
     return DistanceMatrix(ids, sq)
 
 
-def _bordered(sq: np.ndarray) -> np.ndarray:
-    k = sq.shape[0]
-    out = np.ones((k + 1, k + 1))
-    out[0, 0] = 0.0
-    out[1:, 1:] = sq
-    return out
-
-
 def cayley_menger_determinant(d: DistanceMatrix) -> float:
     """Determinant of the bordered squared-distance matrix of all nodes in d.
 
@@ -168,7 +160,10 @@ def cayley_menger_determinant(d: DistanceMatrix) -> float:
     """
     if d.n < 2:
         raise GeometryError("need at least 2 nodes for a bordered determinant")
-    return float(np.linalg.det(_bordered(d.sq_dist)))
+    bordered = np.ones((d.n + 1, d.n + 1))
+    bordered[0, 0] = 0.0
+    bordered[1:, 1:] = d.sq_dist
+    return float(np.linalg.det(bordered))
 
 
 def cm_coefficient(m: int) -> float:
@@ -182,30 +177,55 @@ def cm_coefficient(m: int) -> float:
     return float((-1) ** (m + 1) * 2**m * math.factorial(m) ** 2)
 
 
-def _volume_from_sq(sq: np.ndarray, m: int) -> float:
-    """Generalized volume of m+1 points given their squared-distance table.
+_NOT_REALIZABLE = (
+    "squared volume negative beyond tolerance; "
+    "distances are not realizable in dimension {m}"
+)
 
-    Raises NotRealizableError when the squared volume is negative beyond
-    tolerance in diameter-normalized units (distances not embeddable in R^m).
+
+def _cm_volumes(tables: np.ndarray):
+    """Cayley-Menger volumes of a stack of local squared-distance tables.
+
+    ``tables`` has shape (K, m+2, m+2): point 0 is the sensor, points 1..m+1
+    the vertices of its would-be hull set. Each table is divided by its
+    largest entry (an all-zero table is left as it is), which makes
+    VOLUME_TOL scale-free and leaves volume ratios unchanged.
+
+    Volume j is that of the m+1 points other than point j: volume 0 is the
+    base simplex, volume k+1 the simplex with vertex k replaced by the sensor
+    (sensor first, then the remaining vertices in order). Returns the base
+    volumes (K,), the replacement volumes (K, m+1) and flags (K, m+2) marking
+    squared volumes below -VOLUME_TOL in units of their own sub-table's
+    largest entry (distances not embeddable in R^m); those volumes read 0.
     """
-    scale = float(sq.max())
-    if scale == 0.0:
-        return 0.0
-    ratio = np.linalg.det(_bordered(sq)) / cm_coefficient(m)
-    norm_ratio = ratio / scale**m
-    if norm_ratio < -VOLUME_TOL:
-        raise NotRealizableError(
-            f"squared volume {ratio:.3e} negative beyond tolerance; "
-            "distances are not realizable in the requested dimension"
-        )
-    return math.sqrt(max(ratio, 0.0))
+    n = tables.shape[-1]
+    m = n - 2
+    scale = tables.max(axis=(1, 2))
+    tables = tables / np.where(scale == 0.0, 1.0, scale)[:, None, None]
+    keep = np.array([[j for j in range(n) if j != i] for i in range(n)])
+    subs = tables[:, keep[:, :, None], keep[:, None, :]]  # (K, m+2, m+1, m+1)
+    bordered = np.ones(subs.shape[:2] + (n, n))
+    bordered[..., 0, 0] = 0.0
+    bordered[..., 1:, 1:] = subs
+    sq_vol = np.linalg.det(bordered) / cm_coefficient(m)
+    sub_scale = subs.max(axis=(2, 3))
+    spans = sub_scale > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = spans & (sq_vol / sub_scale**m < -VOLUME_TOL)
+    vol = np.where(spans, np.sqrt(np.clip(sq_vol, 0.0, None)), 0.0)
+    return vol[:, 0], vol[:, 1:], bad
 
 
 def generalized_volume(d: DistanceMatrix, m: int) -> float:
     """Volume (length^m) of the simplex on the m+1 nodes of ``d``."""
     if d.n != m + 1:
         raise GeometryError(f"need exactly {m + 1} nodes for dimension {m}, got {d.n}")
-    return _volume_from_sq(d.sq_dist, m)
+    # node 0 doubles as the sensor; only the base volume is read
+    idx = [0] + list(range(m + 1))
+    base, _, bad = _cm_volumes(d.sq_dist[np.ix_(idx, idx)][None])
+    if bad[0, 0]:
+        raise NotRealizableError(_NOT_REALIZABLE.format(m=m))
+    return float(base[0]) * float(d.sq_dist.max()) ** (m / 2)
 
 
 def simplex_from_distances(vertex_ids, d: DistanceMatrix, m: int) -> Simplex:
@@ -213,30 +233,20 @@ def simplex_from_distances(vertex_ids, d: DistanceMatrix, m: int) -> Simplex:
     return Simplex(m, tuple(vertex_ids), vol)
 
 
-def _hull_volumes(l: int, kappa, d: DistanceMatrix, m: int):
-    """Diameter-normalized base volume and the m+1 vertex-replacement volumes.
-
-    Sub-volume k replaces vertex kappa[k] by l. Normalizing the local squared
-    distances to unit diameter makes VOLUME_TOL scale-free; barycentric
-    ratios are unaffected because volumes are homogeneous in scale.
-    """
+def _local_volumes(l: int, kappa, d: DistanceMatrix, m: int):
+    """Normalized base and vertex-replacement volumes of ``l`` against ``kappa``."""
     kappa = list(kappa)
     if len(kappa) != m + 1:
         raise GeometryError(f"hull set must have {m + 1} nodes, got {len(kappa)}")
     if l in kappa:
         raise GeometryError(f"node {l} cannot be a vertex of its own hull set")
-    local = d.restrict([l] + kappa)
-    sq = local.sq_dist
-    scale = float(sq.max())
-    if scale == 0.0:
+    sq = d.restrict([l] + kappa).sq_dist
+    if float(sq.max()) == 0.0:
         raise DegenerateSimplexError("all nodes coincide")
-    sqn = sq / scale
-    base = _volume_from_sq(sqn[1:, 1:], m)
-    subs = np.empty(m + 1)
-    for k in range(m + 1):
-        keep = [0] + [1 + j for j in range(m + 1) if j != k]
-        subs[k] = _volume_from_sq(sqn[np.ix_(keep, keep)], m)
-    return base, subs
+    base, subs, bad = _cm_volumes(sq[None])
+    if bad.any():
+        raise NotRealizableError(_NOT_REALIZABLE.format(m=m))
+    return float(base[0]), subs[0]
 
 
 def convex_hull_inclusion(l: int, kappa, d: DistanceMatrix, m: int) -> HullVerdict:
@@ -246,7 +256,7 @@ def convex_hull_inclusion(l: int, kappa, d: DistanceMatrix, m: int) -> HullVerdi
     to the base volume; any excess means it is outside, and a vanishing
     sub-volume on an otherwise matching sum means it sits on a face.
     """
-    base, subs = _hull_volumes(l, kappa, d, m)
+    base, subs = _local_volumes(l, kappa, d, m)
     if base <= VOLUME_TOL:
         raise DegenerateSimplexError(
             f"hull set {tuple(kappa)} spans no volume in dimension {m}"
@@ -265,7 +275,7 @@ def barycentric_coordinates(l: int, theta, d: DistanceMatrix, m: int) -> Barycen
     the volume of theta itself. Requires l inside or on the boundary of the
     hull; weights are renormalized to unit sum to absorb rounding.
     """
-    base, subs = _hull_volumes(l, theta, d, m)
+    base, subs = _local_volumes(l, theta, d, m)
     if base <= VOLUME_TOL:
         raise DegenerateSimplexError(
             f"triangulation set {tuple(theta)} spans no volume in dimension {m}"
@@ -279,29 +289,6 @@ def barycentric_coordinates(l: int, theta, d: DistanceMatrix, m: int) -> Barycen
     return BarycentricWeights(l, tuple(theta), weights)
 
 
-# ---------------------------------------------------------------------------
-# Vectorized strict-interior tests used by the triangulation protocol.
-# Semantics match convex_hull_inclusion returning INSIDE; the m = 2 path uses
-# the closed-form triangle identity (equivalent to the bordered determinant,
-# cross-validated in the test suite) because the set-up phase tests thousands
-# of candidate subsets per sensor.
-# ---------------------------------------------------------------------------
-
-
-def _tri_sq_area(a, b, c):
-    # squared triangle area from squared side lengths
-    return (2.0 * (a * b + b * c + c * a) - a * a - b * b - c * c) / 16.0
-
-
-def _batch_volumes(bodies: np.ndarray, m: int) -> np.ndarray:
-    k = bodies.shape[-1]
-    bordered = np.ones(bodies.shape[:-2] + (k + 1, k + 1))
-    bordered[..., 0, 0] = 0.0
-    bordered[..., 1:, 1:] = bodies
-    ratio = np.linalg.det(bordered) / cm_coefficient(m)
-    return np.sqrt(np.clip(ratio, 0.0, None))
-
-
 def batch_strict_inclusion(
     sq_cand: np.ndarray, sq_to_l: np.ndarray, combos: np.ndarray, m: int
 ) -> np.ndarray:
@@ -312,46 +299,20 @@ def batch_strict_inclusion(
     combos:  (K, m+1) integer index rows into the candidate arrays.
 
     Returns a boolean array of length K, True where l is strictly inside the
-    subset's hull (sub-volume sum matches the base volume and every
-    sub-volume clears the degeneracy tolerance).
+    subset's hull: the verdict INSIDE of convex_hull_inclusion, with subsets
+    it would reject as degenerate or not realizable counted as not inside.
     """
     combos = np.asarray(combos)
     if combos.size == 0:
         return np.zeros(0, dtype=bool)
-    tl = sq_to_l[combos]  # (K, m+1)
-    if m == 2:
-        s01 = sq_cand[combos[:, 0], combos[:, 1]]
-        s02 = sq_cand[combos[:, 0], combos[:, 2]]
-        s12 = sq_cand[combos[:, 1], combos[:, 2]]
-        scale = np.max(
-            np.stack([s01, s02, s12, tl[:, 0], tl[:, 1], tl[:, 2]], axis=1), axis=1
-        )
-        scale = np.where(scale == 0.0, 1.0, scale)
-        base = np.sqrt(np.clip(_tri_sq_area(s01, s02, s12) / scale**2, 0.0, None))
-        subs = np.stack(
-            [
-                np.sqrt(np.clip(_tri_sq_area(tl[:, 1], tl[:, 2], s12) / scale**2, 0.0, None)),
-                np.sqrt(np.clip(_tri_sq_area(tl[:, 0], tl[:, 2], s02) / scale**2, 0.0, None)),
-                np.sqrt(np.clip(_tri_sq_area(tl[:, 0], tl[:, 1], s01) / scale**2, 0.0, None)),
-            ],
-            axis=1,
-        )
-    else:
-        rows = combos[:, :, None]
-        cols = combos[:, None, :]
-        body = sq_cand[rows, cols]  # (K, m+1, m+1)
-        scale = np.maximum(body.max(axis=(1, 2)), tl.max(axis=1))
-        scale = np.where(scale == 0.0, 1.0, scale)
-        body = body / scale[:, None, None]
-        tln = tl / scale[:, None]
-        base = _batch_volumes(body, m)
-        subs = np.empty((combos.shape[0], m + 1))
-        for k in range(m + 1):
-            repl = body.copy()
-            repl[:, k, :] = tln
-            repl[:, :, k] = tln
-            repl[:, k, k] = 0.0
-            subs[:, k] = _batch_volumes(repl, m)
+    tl = sq_to_l[combos]
+    tables = np.empty((combos.shape[0], m + 2, m + 2))
+    tables[:, 0, 0] = 0.0
+    tables[:, 0, 1:] = tl
+    tables[:, 1:, 0] = tl
+    tables[:, 1:, 1:] = sq_cand[combos[:, :, None], combos[:, None, :]]
+    # a flagged volume reads 0, which already fails the tests below
+    base, subs, _ = _cm_volumes(tables)
     ok_base = base > VOLUME_TOL
     ok_sum = subs.sum(axis=1) <= base * (1.0 + HULL_REL_TOL)
     ok_subs = subs.min(axis=1) > VOLUME_TOL

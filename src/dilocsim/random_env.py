@@ -23,6 +23,7 @@ import scipy.sparse as sp
 
 from .deployment import _u64
 from .engine import IterationState, NonFiniteStateError, RunTrace, _trace_loop
+from .geometry import HULL_REL_TOL, VOLUME_TOL, _cm_volumes
 from .system import (
     AnchorBlock,
     SingularSystemError,
@@ -384,48 +385,48 @@ def noise_model_from_distance_noise(
     """Distance-level noise adapter: perturb distances, measure induced weights.
 
     Re-estimates every sensor's barycentric weights from distances corrupted
-    by i.i.d. Gaussian errors, n_draws times; the mean shift of each link
-    weight becomes the bias and the mean per-link variance the fluctuation
-    variance. Draws whose perturbed distances are not realizable (or push the
-    sensor outside its cell) are discarded, mirroring a sensor re-measuring.
+    by i.i.d. Gaussian errors (clipped at zero), n_draws times per sensor in
+    one batch; the mean shift of each link weight becomes the bias and the
+    mean per-link variance the fluctuation variance. A draw is kept only when
+    ``barycentric_coordinates`` would accept it: realizable in R^m, with a
+    nondegenerate base simplex and sub-volumes that do not overshoot it.
+    Perturbed distances whose m+2 points embed in R^(m+1) fail the last test
+    wherever the sensor lies, so the moments are over the draws with a
+    negative squared (m+1)-volume, not over all draws.
     """
-    from .geometry import GeometryError, barycentric_coordinates
-
+    m = field.m
+    sensors = list(field.sensor_ids)
+    local = [field.distance_submatrix((l,) + tris[l].neighbor_ids).sq_dist for l in sensors]
+    dist = np.sqrt(np.reshape(local, (len(sensors), m + 2, m + 2)))
+    iu = np.triu_indices(m + 2, 1)
     rng = np.random.default_rng([_u64(seed), _DIST_STREAM])
+    noise = rng.normal(0.0, distance_std, size=(len(sensors), n_draws, len(iu[0])))
+    tables = np.zeros((len(sensors), n_draws, m + 2, m + 2))
+    tables[..., iu[0], iu[1]] = np.maximum(dist[:, None, iu[0], iu[1]] + noise, 0.0) ** 2
+    tables[..., iu[1], iu[0]] = tables[..., iu[0], iu[1]]
+    base, subs, bad = _cm_volumes(tables.reshape(-1, m + 2, m + 2))
+    kept = ~bad.any(axis=1) & (base > VOLUME_TOL) & (subs.sum(axis=1) <= base * (1.0 + HULL_REL_TOL))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = subs / base[:, None]
+        weights = weights / weights.sum(axis=1, keepdims=True)
+    kept = kept.reshape(len(sensors), n_draws)
+    weights = weights.reshape(len(sensors), n_draws, m + 1)
     bias_b = np.zeros(sys.B.shape)
     bias_p = np.zeros(sys.P.shape)
     variances = []
-    for l in field.sensor_ids:
-        t = tris[l]
-        ids = (l,) + t.neighbor_ids
-        exact = field.distance_submatrix(ids)
-        dist = np.sqrt(exact.sq_dist)
-        n = len(ids)
-        iu = np.triu_indices(n, 1)
-        samples = []
-        for _ in range(n_draws):
-            noisy = dist.copy()
-            noisy[iu] = np.maximum(noisy[iu] + rng.normal(0.0, distance_std, size=len(iu[0])), 0.0)
-            noisy[(iu[1], iu[0])] = noisy[iu]
-            perturbed = type(exact)(exact.ids, noisy**2)
-            try:
-                w = barycentric_coordinates(l, t.neighbor_ids, perturbed, field.m)
-            except GeometryError:
-                continue
-            samples.append(w.weights)
-        if not samples:
+    for i, l in enumerate(sensors):
+        samples = weights[i][kept[i]]
+        if not samples.size:
             raise RandomEnvError(
                 f"no realizable draws for sensor {l}; distance noise too large"
             )
-        samples = np.array(samples)
-        mean_w = samples.mean(axis=0)
-        var_w = samples.var(axis=0)
-        row = l - (field.m + 2)
-        for k, mw, vw, ex in zip(t.neighbor_ids, mean_w, var_w, t.weights.weights):
-            if k <= field.m + 1:
+        t = tris[l]
+        row = l - (m + 2)
+        for k, mw, vw, ex in zip(t.neighbor_ids, samples.mean(axis=0), samples.var(axis=0), t.weights.weights):
+            if k <= m + 1:
                 bias_b[row, k - 1] = mw - ex
             else:
-                bias_p[row, k - (field.m + 2)] = mw - ex
+                bias_p[row, k - (m + 2)] = mw - ex
             variances.append(vw)
     return NoiseModel(
         link_prob=1.0,

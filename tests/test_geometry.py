@@ -26,6 +26,19 @@ REGULAR_TET = np.array(
     ]
 )
 
+# Hull set with sides 1, 1, 4 (violates the triangle inequality) and a fourth
+# node at unit distance from each of its vertices.
+NOT_EMBEDDABLE = geo.validate_distance_matrix(
+    np.array(
+        [
+            [0.0, 1.0, 16.0, 1.0],
+            [1.0, 0.0, 1.0, 1.0],
+            [16.0, 1.0, 0.0, 1.0],
+            [1.0, 1.0, 1.0, 0.0],
+        ]
+    )
+)
+
 
 def dm(pts, ids=None):
     pts = np.asarray(pts, dtype=float)
@@ -181,6 +194,22 @@ class TestConvexHullInclusion:
         with pytest.raises(geo.DegenerateSimplexError):
             geo.convex_hull_inclusion(3, (0, 1, 2), d, 2)
 
+    def test_not_realizable_raises(self):
+        with pytest.raises(geo.NotRealizableError):
+            geo.convex_hull_inclusion(3, (0, 1, 2), NOT_EMBEDDABLE, 2)
+
+    def test_coincident_nodes_raise(self):
+        d = geo.validate_distance_matrix(np.zeros((4, 4)))
+        with pytest.raises(geo.DegenerateSimplexError, match="coincide"):
+            geo.convex_hull_inclusion(3, (0, 1, 2), d, 2)
+
+    def test_hull_set_checks(self):
+        d = dm(np.vstack([EQUILATERAL, EQUILATERAL.mean(axis=0)]))
+        with pytest.raises(geo.GeometryError, match="must have 3 nodes"):
+            geo.convex_hull_inclusion(3, (0, 1), d, 2)
+        with pytest.raises(geo.GeometryError, match="own hull set"):
+            geo.convex_hull_inclusion(2, (0, 1, 2), d, 2)
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_agrees_with_halfspace_oracle(self, m):
         rng = np.random.default_rng(200 + m)
@@ -225,6 +254,15 @@ class TestBarycentricCoordinates:
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 0.5]])
         with pytest.raises(geo.DegenerateSimplexError):
             geo.barycentric_coordinates(3, (0, 1, 2), dm(pts), 2)
+
+    def test_not_realizable_raises(self):
+        with pytest.raises(geo.NotRealizableError):
+            geo.barycentric_coordinates(3, (0, 1, 2), NOT_EMBEDDABLE, 2)
+
+    def test_coincident_nodes_raise(self):
+        d = geo.validate_distance_matrix(np.zeros((4, 4)))
+        with pytest.raises(geo.DegenerateSimplexError, match="coincide"):
+            geo.barycentric_coordinates(3, (0, 1, 2), d, 2)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_reconstruction_property(self, m):
@@ -276,26 +314,34 @@ class TestSimplexConstruction:
 
 
 class TestBatchInclusion:
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
     def test_matches_scalar_verdicts(self, m):
-        rng = np.random.default_rng(400 + m)
-        cands = rng.random((10, m))
-        p = rng.random(m) * 0.8 + 0.1
-        sq_cand = sq_dist_table(cands)
-        sq_to_l = np.array([np.sum((c - p) ** 2) for c in cands])
         from itertools import combinations
 
+        rng = np.random.default_rng(400 + m)
+        cands = rng.random((10, m))
+        sq_cand = sq_dist_table(cands)
         combos = np.array(list(combinations(range(10), m + 1)))
-        flags = geo.batch_strict_inclusion(sq_cand, sq_to_l, combos, m)
-        all_pts = np.vstack([cands, p[None, :]])
-        d = dm(all_pts)
-        for combo, flag in zip(combos, flags):
-            try:
-                verdict = geo.convex_hull_inclusion(10, tuple(combo), d, m)
-                expected = verdict is geo.HullVerdict.INSIDE
-            except geo.DegenerateSimplexError:
-                expected = False
-            assert flag == expected
+        # a random point, and the candidates' centroid, which many subsets hold
+        for p in (rng.random(m) * 0.8 + 0.1, cands.mean(axis=0)):
+            sq_to_l = np.array([np.sum((c - p) ** 2) for c in cands])
+            flags = geo.batch_strict_inclusion(sq_cand, sq_to_l, combos, m)
+            d = dm(np.vstack([cands, p[None, :]]))
+            located = 0
+            for combo, flag in zip(combos, flags):
+                try:
+                    verdict = geo.convex_hull_inclusion(10, tuple(combo), d, m)
+                    expected = verdict is geo.HullVerdict.INSIDE
+                except geo.DegenerateSimplexError:
+                    expected = False
+                assert flag == expected
+                # the coordinate oracle, wherever it is clear of a face
+                loc = halfspace_location(p, cands[combo], tol=1e-7)
+                if loc != "boundary" and simplex_volume_coords(cands[combo]) > 1e-9:
+                    assert flag == (loc == "inside")
+                    located += 1
+            assert located > len(combos) // 2
+        assert flags.any() and not flags.all()
 
     def test_empty_combos(self):
         out = geo.batch_strict_inclusion(np.zeros((0, 0)), np.zeros(0), np.zeros((0, 3), dtype=int), 2)

@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dilocsim import cli
 from dilocsim import deployment as dep
 from dilocsim import engine as eng
 from dilocsim import random_env as renv
 from dilocsim import system as sysm
-from helpers import estimated_blocks, synthetic_chain
+from helpers import estimated_blocks, reference_distance_noise_model, synthetic_chain
 
 
 def demo_setup():
@@ -396,7 +397,29 @@ class TestRandomLinkBias:
         np.testing.assert_array_equal(a[1], b[1])
 
 
+def preset_setup():
+    cfg = cli.parse_config_text(cli.materialize_preset("deterministic-poisson"))
+    field = cli._build_field(cfg, cfg["seed"])
+    tris = dep.triangulate_all(field)
+    return field, tris, sysm.build_system_matrices(field, tris)
+
+
 class TestDistanceNoiseAdapter:
+    @pytest.mark.parametrize("std", [0.0005, 0.002])
+    def test_batch_matches_per_draw_reference(self, std):
+        for field, tris, sys in (demo_setup()[:3], preset_setup()):
+            got = renv.noise_model_from_distance_noise(field, tris, sys, std, seed=7)
+            ref = reference_distance_noise_model(field, tris, sys, std, seed=7)
+            assert got.bias_B.tobytes() == ref.bias_B.tobytes()
+            assert got.bias_P.tobytes() == ref.bias_P.tobytes()
+            assert got.fluct_var == ref.fluct_var
+
+    def test_same_sensor_fails_as_reference(self):
+        field, tris, sys = preset_setup()
+        for fn in (renv.noise_model_from_distance_noise, reference_distance_noise_model):
+            with pytest.raises(renv.RandomEnvError, match="sensor 22;"):
+                fn(field, tris, sys, 0.01, seed=7)
+
     def test_small_noise_small_bias(self):
         field, tris, sys, anchors = demo_setup()
         model = renv.noise_model_from_distance_noise(

@@ -59,7 +59,6 @@ from .random_env import (
     dlre_limit,
     dlre_step,
     make_weight_schedule,
-    noise_model_from_distance_noise,
     random_link_bias,
     run_dlre,
     sample_environment,

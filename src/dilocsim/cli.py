@@ -68,13 +68,7 @@ _SCHEMA = {
     "seed": (int, 0),
 }
 
-_NOISE_DEFAULTS = {
-    "noise.link_prob": 1.0,
-    "noise.channel_var": 0.0,
-    "noise.channel_var_scaled_by_M": False,
-    "noise.fluct_var": 0.0,
-    "noise.bias_scale": 0.0,
-}
+_NOISE_DEFAULTS = {key: default for key, (_, default) in _SCHEMA.items() if key.startswith("noise.")}
 
 
 @dataclass(frozen=True)
@@ -118,9 +112,12 @@ def _coerce(key: str, raw: str):
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        return typ(raw)
+        value = typ(raw)
     except ValueError as exc:
         raise ConfigInvalidError(f"key {key!r}: cannot parse {raw!r} as {typ.__name__}") from exc
+    if typ is float and not np.isfinite(value):
+        raise ConfigInvalidError(f"key {key!r}: {raw!r} is not a finite number")
+    return value
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -216,9 +213,12 @@ def _parse_anchors(text: str, m: int) -> np.ndarray:
             for chunk in text.split(";")
             if chunk.strip()
         ]
-        return np.array(rows, dtype=float).reshape(len(rows), -1)
+        anchors = np.array(rows, dtype=float).reshape(len(rows), -1)
     except ValueError as exc:
         raise ConfigInvalidError(f"cannot parse field.anchors {text!r}") from exc
+    if not np.isfinite(anchors).all():
+        raise ConfigInvalidError(f"field.anchors {text!r} holds a non-finite coordinate")
+    return anchors
 
 
 # -- presets -----------------------------------------------------------------
@@ -289,20 +289,14 @@ def materialize_preset(name: str) -> str:
 # -- artifact emission --------------------------------------------------------
 
 
-def emit_trace(trace: eng.RunTrace, path, oracle_available: bool):
+def emit_trace(trace: eng.RunTrace, path):
     """Tab-separated per-iteration rows; header always, rows per iteration."""
-    cols = ["iteration", "step_norm"]
-    if oracle_available:
-        cols.append("oracle_error")
-    cols += ["messages_total", "alpha_t"]
-    lines = ["\t".join(cols)]
+    lines = ["iteration\tstep_norm\toracle_error\tmessages_total\talpha_t"]
     for i in range(trace.iterations):
-        row = [str(i + 1), f"{trace.step_norms[i]:.17g}"]
-        if oracle_available:
-            row.append(f"{trace.oracle_errors[i]:.17g}")
-        row.append(str(trace.messages_total(i + 1)))
-        row.append(f"{trace.alphas[i]:.17g}")
-        lines.append("\t".join(row))
+        lines.append(
+            f"{i + 1}\t{trace.step_norms[i]:.17g}\t{trace.oracle_errors[i]:.17g}"
+            f"\t{trace.messages_total(i + 1)}\t{trace.alphas[i]:.17g}"
+        )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -313,29 +307,19 @@ def emit_summary(summary: dict, path):
     )
 
 
-def emit_plot_data(traces, path, m: int):
-    """One iteration-vs-value series file per (sensor, coordinate).
-
-    Accepts a single trace or a sequence; multiple traces go into run-<k>/
-    subdirectories.
-    """
-    if isinstance(traces, eng.RunTrace):
-        traces = [traces]
-        subdirs = [Path(path)]
-    else:
-        traces = list(traces)
-        subdirs = [Path(path) / f"run-{k:03d}" for k in range(len(traces))]
-    for trace, sub in zip(traces, subdirs):
-        sub.mkdir(parents=True, exist_ok=True)
-        for row in range(trace.n_sensors):
-            sensor_id = m + 2 + row
-            for j in range(m):
-                lines = ["iteration\tvalue"]
-                for t, snap in trace.snapshots:
-                    lines.append(f"{t}\t{snap[row, j]:.17g}")
-                (sub / f"sensor{sensor_id}_coord{j + 1}.tsv").write_text(
-                    "\n".join(lines) + "\n", encoding="utf-8"
-                )
+def emit_plot_data(trace: eng.RunTrace, path, m: int):
+    """One iteration-vs-value series file per (sensor, coordinate)."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    for row in range(trace.n_sensors):
+        sensor_id = m + 2 + row
+        for j in range(m):
+            lines = ["iteration\tvalue"]
+            for t, snap in trace.snapshots:
+                lines.append(f"{t}\t{snap[row, j]:.17g}")
+            (out / f"sensor{sensor_id}_coord{j + 1}.tsv").write_text(
+                "\n".join(lines) + "\n", encoding="utf-8"
+            )
 
 
 # -- experiment execution ------------------------------------------------------
@@ -456,7 +440,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None) -> d
     summary["per_sensor_messages"] = trace.per_sensor_messages
     summary["per_sensor_flops"] = trace.per_sensor_flops
     summary["messages_total"] = trace.messages_total()
-    emit_trace(trace, out / "trace.tsv", oracle_available=True)
+    emit_trace(trace, out / "trace.tsv")
     emit_summary(summary, out / "summary.json")
     emit_plot_data(trace, out / "plot", sys_m.m)
     dep.save_field(field, out / "field.field")

@@ -22,8 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .deployment import _u64
-from .engine import IterationState, NonFiniteStateError, RunTrace, _trace_loop
-from .geometry import HULL_REL_TOL, VOLUME_TOL, _cm_volumes
+from .engine import IterationState, NonFiniteStateError, RunTrace, _trace_loop, flops_per_sensor
 from .system import (
     AnchorBlock,
     SingularSystemError,
@@ -36,7 +35,6 @@ from .system import (
 
 _ENV_STREAM = 301
 _BIAS_STREAM = 302
-_DIST_STREAM = 303
 
 SCHEDULE_FAMILIES = ("harmonic", "power")
 
@@ -96,9 +94,6 @@ class NoiseModel:
         matching a protocol in which each sensor estimates its own row.
     fluct_var: per-link variance of the zero-mean weight fluctuation
         redrawn at every iteration.
-    channel_sampler / fluct_sampler: optional zero-mean draw hooks
-        (rng, size) -> array for non-Gaussian environments; only bounded
-        second moments are required of them.
     """
 
     link_prob: object = 1.0
@@ -107,13 +102,6 @@ class NoiseModel:
     bias_P: np.ndarray | None = None
     fluct_var: float = 0.0
     seed: int = 0
-    channel_sampler: object = None
-    fluct_sampler: object = None
-
-    def link_prob_data(self, sys: SystemMatrices) -> tuple[np.ndarray, np.ndarray]:
-        """Per-link alive probabilities aligned with the CSR data arrays."""
-        b, p = _layout(self, sys)
-        return b.q, p.q
 
 
 @dataclass(frozen=True)
@@ -160,9 +148,15 @@ class _Links:
 
 def _layout(model: NoiseModel, sys: SystemMatrices) -> tuple[_Links, _Links]:
     """B's and P's per-link data, validated; off-link entries are dropped."""
+    for name in ("channel_noise_var", "fluct_var"):
+        value = getattr(model, name)
+        if not 0.0 <= value < np.inf:
+            raise RandomEnvError(f"{name} must be finite and nonnegative, got {value!r}")
     scalar = np.isscalar(model.link_prob)
     if scalar and not 0.0 < float(model.link_prob) <= 1.0:
         raise RandomEnvError("link probability must lie in (0, 1]")
+    if not scalar and len(model.link_prob) != 2:
+        raise RandomEnvError("per-link probabilities must be a (B, P) pair")
     probs = (model.link_prob,) * 2 if scalar else model.link_prob
     out = []
     for prob, bias, block in zip(probs, (model.bias_B, model.bias_P), (sys.B, sys.P)):
@@ -170,43 +164,26 @@ def _layout(model: NoiseModel, sys: SystemMatrices) -> tuple[_Links, _Links]:
         if scalar:
             q = np.full(block.nnz, float(prob))
         else:
-            q = np.asarray(prob, dtype=float)[rows, block.indices]
+            q = _on_links(prob, block, rows, "link probability")
             if q.size and not (0.0 < q.min() and q.max() <= 1.0):
                 raise RandomEnvError("link probabilities must lie in (0, 1]")
-        if bias is None:
-            bias = np.zeros(block.nnz)
-        else:
-            bias = np.asarray(bias, dtype=float)
-            if bias.shape != block.shape:
-                raise RandomEnvError(
-                    f"bias shape {bias.shape} does not match block shape {block.shape}"
-                )
-            bias = bias[rows, block.indices]
+        bias = np.zeros(block.nnz) if bias is None else _on_links(bias, block, rows, "bias")
         slots = (rows[:, None] * sys.m + np.arange(sys.m)).ravel()
         out.append(_Links(block.indices, slots, q, bias, block.data + bias))
     return out[0], out[1]
 
 
+def _on_links(values, block: sp.csr_matrix, rows: np.ndarray, name: str) -> np.ndarray:
+    """A dense block-shaped array's entries on the block's links, in CSR order."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != block.shape:
+        raise RandomEnvError(f"{name} shape {values.shape} does not match block shape {block.shape}")
+    return values[rows, block.indices]
+
+
 def _csr(values: np.ndarray, block: sp.csr_matrix) -> sp.csr_matrix:
     """Per-link values in CSR order, on the block's support."""
     return sp.csr_matrix((values, block.indices, block.indptr), shape=block.shape)
-
-
-def effective_biases(model: NoiseModel, sys: SystemMatrices) -> tuple[np.ndarray, np.ndarray]:
-    """Bias matrices projected onto the link support, as dense arrays.
-
-    This is the bias the iteration actually experiences: a sensor only ever
-    estimates the weights of its own m+1 links, so off-link bias entries are
-    meaningless and dropped everywhere (sampling and limit alike).
-    """
-    b, p = _layout(model, sys)
-    return _csr(b.bias, sys.B).toarray(), _csr(p.bias, sys.P).toarray()
-
-
-def _zero_mean(rng, sampler, var: float, size) -> np.ndarray:
-    if sampler is not None:
-        return np.asarray(sampler(rng, size), dtype=float)
-    return rng.normal(0.0, np.sqrt(var), size=size)
 
 
 def _draw(model: NoiseModel, links: tuple[_Links, _Links], m: int, t: int, draw: int):
@@ -218,14 +195,11 @@ def _draw(model: NoiseModel, links: tuple[_Links, _Links], m: int, t: int, draw:
     rng = np.random.default_rng([_u64(model.seed), _ENV_STREAM, _u64(t), _u64(draw)])
     alive = [(rng.random(l.q.size) < l.q).astype(float) for l in links]
     w = [l.w for l in links]
-    if model.fluct_var > 0.0 or model.fluct_sampler is not None:
-        w = [l.w + _zero_mean(rng, model.fluct_sampler, model.fluct_var, l.w.size) for l in links]
+    if model.fluct_var > 0.0:
+        w = [l.w + rng.normal(0.0, np.sqrt(model.fluct_var), size=l.w.size) for l in links]
     v = None
-    if model.channel_noise_var > 0.0 or model.channel_sampler is not None:
-        v = [
-            _zero_mean(rng, model.channel_sampler, model.channel_noise_var, (l.w.size, m))
-            for l in links
-        ]
+    if model.channel_noise_var > 0.0:
+        v = [rng.normal(0.0, np.sqrt(model.channel_noise_var), size=(l.w.size, m)) for l in links]
     return alive, w, v
 
 
@@ -319,7 +293,7 @@ def run_dlre(
         mode="dlre",
         seed=model.seed if seed is None else seed,
         per_sensor_messages=sys.m + 1,
-        per_sensor_flops=2 * sys.m + 3,
+        per_sensor_flops=flops_per_sensor("dlre", sys.m),
         n_sensors=sys.M,
     )
     return _trace_loop(trace, initial.X, step, max_iters, step_tol, snapshot_stride, oracle)
@@ -372,67 +346,3 @@ def random_link_bias(
             vals *= scale / np.linalg.norm(vals)
         out.append(_csr(vals, block).toarray())
     return out[0], out[1]
-
-
-def noise_model_from_distance_noise(
-    field,
-    tris,
-    sys: SystemMatrices,
-    distance_std: float,
-    n_draws: int = 200,
-    seed: int = 0,
-) -> NoiseModel:
-    """Distance-level noise adapter: perturb distances, measure induced weights.
-
-    Re-estimates every sensor's barycentric weights from distances corrupted
-    by i.i.d. Gaussian errors (clipped at zero), n_draws times per sensor in
-    one batch; the mean shift of each link weight becomes the bias and the
-    mean per-link variance the fluctuation variance. A draw is kept only when
-    ``barycentric_coordinates`` would accept it: realizable in R^m, with a
-    nondegenerate base simplex and sub-volumes that do not overshoot it.
-    Perturbed distances whose m+2 points embed in R^(m+1) fail the last test
-    wherever the sensor lies, so the moments are over the draws with a
-    negative squared (m+1)-volume, not over all draws.
-    """
-    m = field.m
-    sensors = list(field.sensor_ids)
-    local = [field.distance_submatrix((l,) + tris[l].neighbor_ids).sq_dist for l in sensors]
-    dist = np.sqrt(np.reshape(local, (len(sensors), m + 2, m + 2)))
-    iu = np.triu_indices(m + 2, 1)
-    rng = np.random.default_rng([_u64(seed), _DIST_STREAM])
-    noise = rng.normal(0.0, distance_std, size=(len(sensors), n_draws, len(iu[0])))
-    tables = np.zeros((len(sensors), n_draws, m + 2, m + 2))
-    tables[..., iu[0], iu[1]] = np.maximum(dist[:, None, iu[0], iu[1]] + noise, 0.0) ** 2
-    tables[..., iu[1], iu[0]] = tables[..., iu[0], iu[1]]
-    base, subs, bad = _cm_volumes(tables.reshape(-1, m + 2, m + 2))
-    kept = ~bad.any(axis=1) & (base > VOLUME_TOL) & (subs.sum(axis=1) <= base * (1.0 + HULL_REL_TOL))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = subs / base[:, None]
-        weights = weights / weights.sum(axis=1, keepdims=True)
-    kept = kept.reshape(len(sensors), n_draws)
-    weights = weights.reshape(len(sensors), n_draws, m + 1)
-    bias_b = np.zeros(sys.B.shape)
-    bias_p = np.zeros(sys.P.shape)
-    variances = []
-    for i, l in enumerate(sensors):
-        samples = weights[i][kept[i]]
-        if not samples.size:
-            raise RandomEnvError(
-                f"no realizable draws for sensor {l}; distance noise too large"
-            )
-        t = tris[l]
-        row = l - (m + 2)
-        for k, mw, vw, ex in zip(t.neighbor_ids, samples.mean(axis=0), samples.var(axis=0), t.weights.weights):
-            if k <= m + 1:
-                bias_b[row, k - 1] = mw - ex
-            else:
-                bias_p[row, k - (m + 2)] = mw - ex
-            variances.append(vw)
-    return NoiseModel(
-        link_prob=1.0,
-        channel_noise_var=0.0,
-        bias_B=bias_b,
-        bias_P=bias_p,
-        fluct_var=float(np.mean(variances)),
-        seed=seed,
-    )

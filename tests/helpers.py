@@ -189,58 +189,24 @@ def reference_triangulate_sensor(field, l, r0, growth=1.25):
 
 
 # ---------------------------------------------------------------------------
-# Per-draw reference for the distance-noise adapter.
+# Mean-map oracle for the robust iteration.
 # ---------------------------------------------------------------------------
 
 
-def reference_distance_noise_model(field, tris, sys, distance_std, n_draws=200, seed=0):
-    """``noise_model_from_distance_noise`` one sensor and one draw at a time.
+def effective_biases(model, sys):
+    """A NoiseModel's biases (S_B, S_P) on the link support, as dense arrays.
 
-    Each draw perturbs the sensor's local distances with the adapter's stream
-    and order and re-estimates its weights with ``barycentric_coordinates``,
-    discarding every draw that raises a GeometryError.
+    A sensor only estimates the weights of its own links, so off-link bias
+    entries are dropped; a missing bias is zero. Built from the dense bias and
+    the blocks' sparsity pattern alone.
     """
-    from dilocsim.geometry import GeometryError, barycentric_coordinates
-    from dilocsim.random_env import _DIST_STREAM, NoiseModel, RandomEnvError, _u64
-
-    rng = np.random.default_rng([_u64(seed), _DIST_STREAM])
-    bias_b = np.zeros(sys.B.shape)
-    bias_p = np.zeros(sys.P.shape)
-    variances = []
-    for l in field.sensor_ids:
-        t = tris[l]
-        exact = field.distance_submatrix((l,) + t.neighbor_ids)
-        dist = np.sqrt(exact.sq_dist)
-        iu = np.triu_indices(len(exact.ids), 1)
-        samples = []
-        for _ in range(n_draws):
-            noisy = dist.copy()
-            noisy[iu] = np.maximum(noisy[iu] + rng.normal(0.0, distance_std, size=len(iu[0])), 0.0)
-            noisy[(iu[1], iu[0])] = noisy[iu]
-            perturbed = type(exact)(exact.ids, noisy**2)
-            try:
-                w = barycentric_coordinates(l, t.neighbor_ids, perturbed, field.m)
-            except GeometryError:
-                continue
-            samples.append(w.weights)
-        if not samples:
-            raise RandomEnvError(f"no realizable draws for sensor {l}; distance noise too large")
-        samples = np.array(samples)
-        row = l - (field.m + 2)
-        for k, mw, vw, ex in zip(t.neighbor_ids, samples.mean(axis=0), samples.var(axis=0), t.weights.weights):
-            if k <= field.m + 1:
-                bias_b[row, k - 1] = mw - ex
-            else:
-                bias_p[row, k - (field.m + 2)] = mw - ex
-            variances.append(vw)
-    return NoiseModel(
-        link_prob=1.0,
-        channel_noise_var=0.0,
-        bias_B=bias_b,
-        bias_P=bias_p,
-        fluct_var=float(np.mean(variances)),
-        seed=seed,
-    )
+    out = []
+    for bias, block in ((model.bias_B, sys.B), (model.bias_P, sys.P)):
+        support = sp.csr_matrix(
+            (np.ones(block.nnz, dtype=bool), block.indices, block.indptr), shape=block.shape
+        ).toarray()
+        out.append(np.zeros(block.shape) if bias is None else np.where(support, bias, 0.0))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

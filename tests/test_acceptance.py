@@ -18,6 +18,7 @@ from dilocsim import random_env as renv
 from dilocsim import system as sysm
 from helpers import (
     anchor_coupled_50_node_field,
+    effective_biases,
     halfspace_location,
     random_interior_point,
     random_simplex,
@@ -216,7 +217,7 @@ def test_criterion_7_dlre_conditional_drift():
             fluct_var=0.03,
             seed=29,
         )
-        s_b, s_p = renv.effective_biases(model, sys_m)
+        s_b, s_p = effective_biases(model, sys_m)
         U = anchors.U
         A = np.eye(sys_m.M) - sys_m.P.toarray() - s_p
         rhs = (sys_m.B.toarray() + s_b) @ U

@@ -363,6 +363,35 @@ class TestMainEntry:
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_RUNTIME
         assert "runtime error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "preset, key, value",
+        [
+            ("lf-cn", "noise.channel_var", "nan"),
+            ("noisy-distances", "noise.fluct_var", "nan"),
+            ("deterministic-poisson", "stop.step_tol", "nan"),
+            ("deterministic-poisson", "field.gamma", "nan"),
+            ("deterministic-poisson", "field.gamma", "inf"),
+            ("deterministic-poisson", "field.anchors", "0 0; 10.42 nan; 5.21 9.024"),
+            ("deterministic-poisson", "field.anchors", "0 0; 10.42 0; 5.21 inf"),
+            ("lf-cn", "schedule.param", "inf"),
+            ("biased-distances", "noise.bias_scale", "inf"),
+        ],
+    )
+    def test_non_finite_float_rejected(self, tmp_path, capsys, preset, key, value):
+        # nan and inf parse as floats but pass no range check meaningfully: they
+        # would run noise-free, spin to max_iters, write NaN into summary.json
+        # (invalid JSON) or end in a numpy traceback
+        text = "".join(
+            f"{key} = {value}\n" if line.startswith(f"{key} = ") else line + "\n"
+            for line in cli.materialize_preset(preset).splitlines()
+        )
+        assert f"{key} = {value}\n" in text
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_replicas_flag_validation(self, capsys):
         assert cli.main(["run", "deterministic-fixture", "--replicas", "0"]) == cli.EXIT_CONFIG
 

@@ -3,12 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dilocsim import cli
 from dilocsim import deployment as dep
 from dilocsim import engine as eng
 from dilocsim import random_env as renv
 from dilocsim import system as sysm
-from helpers import estimated_blocks, reference_distance_noise_model, synthetic_chain
+from helpers import effective_biases, estimated_blocks, synthetic_chain
 
 
 def demo_setup():
@@ -21,7 +20,7 @@ def demo_setup():
 
 def expected_step(x, sys, anchors, model, alpha):
     """Mean one-step map: x - alpha [(I - P - S_P) x - (B + S_B) U]."""
-    s_b, s_p = renv.effective_biases(model, sys)
+    s_b, s_p = effective_biases(model, sys)
     A = np.eye(sys.M) - sys.P.toarray() - s_p
     rhs = (sys.B.toarray() + s_b) @ np.asarray(anchors.U, dtype=float)
     return x - alpha * (A @ x - rhs)
@@ -114,24 +113,72 @@ class TestSampling:
         np.testing.assert_array_equal(a.alive_P, b.alive_P)
         assert not np.array_equal(a.v_B, c.v_B)
 
-    def test_custom_samplers_used(self):
-        _, _, sys, _ = demo_setup()
-        # bounded, zero-mean, decidedly non-Gaussian
-        model = renv.NoiseModel(
-            channel_noise_var=1.0,
-            fluct_var=1.0,
-            channel_sampler=lambda rng, size: rng.choice([-0.5, 0.5], size=size),
-            fluct_sampler=lambda rng, size: rng.choice([-0.25, 0.25], size=size),
-            seed=5,
-        )
-        s = renv.sample_environment(model, sys, t=0)
-        assert set(np.unique(np.abs(s.v_B))) <= {0.5}
-        np.testing.assert_allclose(np.abs(s.b_hat_data - sys.B.data), 0.25, atol=1e-12)
-
     def test_bad_link_prob_rejected(self):
         _, _, sys, _ = demo_setup()
         with pytest.raises(renv.RandomEnvError):
             renv.sample_environment(renv.NoiseModel(link_prob=0.0), sys, t=0)
+
+    def test_per_link_alive_frequency(self):
+        # the (B, P) pair form gives every link its own alive probability
+        _, _, sys, _ = demo_setup()
+        rng = np.random.default_rng(12)
+        q_b = rng.uniform(0.2, 1.0, size=sys.B.shape)
+        q_p = rng.uniform(0.2, 1.0, size=sys.P.shape)
+        q_p[0] = 1.0
+        model = renv.NoiseModel(link_prob=(q_b, q_p), seed=12)
+        draws = 4000
+        alive_b = np.zeros(sys.B.nnz)
+        alive_p = np.zeros(sys.P.nnz)
+        for i in range(draws):
+            s = renv.sample_environment(model, sys, t=0, draw=i)
+            alive_b += s.alive_B
+            alive_p += s.alive_P
+        for alive, q, block in ((alive_b, q_b, sys.B), (alive_p, q_p, sys.P)):
+            rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
+            want = q[rows, block.indices]
+            np.testing.assert_array_less(
+                np.abs(alive / draws - want), 5.0 * np.sqrt(want * (1.0 - want) / draws) + 1e-12
+            )
+        assert np.all(alive_p[: sys.P.indptr[1]] == draws)
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5, np.nan])
+    def test_per_link_prob_out_of_range_rejected(self, bad):
+        _, _, sys, anchors = demo_setup()
+        q_b = np.full(sys.B.shape, 0.9)
+        q_p = np.full(sys.P.shape, 0.9)
+        q_p[0, sys.P.indices[0]] = bad  # on a link
+        model = renv.NoiseModel(link_prob=(q_b, q_p))
+        with pytest.raises(renv.RandomEnvError):
+            renv.sample_environment(model, sys, t=0)
+        with pytest.raises(renv.RandomEnvError):
+            renv.dlre_step(np.zeros((sys.M, sys.m)), sys, anchors, model, lambda t: 1.0, t=0)
+
+    def test_malformed_link_prob_pair_rejected(self):
+        _, _, sys, _ = demo_setup()
+        q_b, q_p = np.full(sys.B.shape, 0.9), np.full(sys.P.shape, 0.9)
+        for bad in ((q_b,), (q_b, q_p, q_p), (q_b, q_p[:2, :2]), (q_b.T, q_p)):
+            with pytest.raises(renv.RandomEnvError):
+                renv.sample_environment(renv.NoiseModel(link_prob=bad), sys, t=0)
+
+    @pytest.mark.parametrize("field", ["channel_noise_var", "fluct_var"])
+    @pytest.mark.parametrize("bad", [-0.1, -np.inf, np.inf, np.nan])
+    def test_bad_variance_rejected(self, field, bad):
+        # a negative or NaN variance fails the draw's "> 0" test and would
+        # silently run noise-free
+        _, _, sys, anchors = demo_setup()
+        model = renv.NoiseModel(**{field: bad})
+        initial = eng.initial_state(anchors, sys.M, seed=1)
+        calls = (
+            lambda: renv.sample_environment(model, sys, t=0),
+            lambda: renv.dlre_step(initial.X, sys, anchors, model, lambda t: 1.0, t=0),
+            lambda: renv.run_dlre(initial, sys, anchors, model, lambda t: 1.0, max_iters=5),
+            lambda: renv.dlre_limit(sys, anchors, model),
+        )
+        for call in calls:
+            with pytest.raises(renv.RandomEnvError, match=field):
+                call()
 
 
 class TestDlreStep:
@@ -370,14 +417,24 @@ class TestDlreLimit:
         assert peak < 16 * 2**20
 
     def test_off_link_bias_is_ignored(self):
+        # a dense bias acts only through its on-link entries: the limit and a
+        # noisy step equal those of the bias projected onto the links, bit for bit
         _, _, sys, anchors = demo_setup()
-        dense_b = np.full(sys.B.shape, 0.3)
-        dense_p = np.full(sys.P.shape, 0.3)
-        s_b, s_p = renv.effective_biases(
-            renv.NoiseModel(bias_B=dense_b, bias_P=dense_p), sys
+        rng = np.random.default_rng(17)
+        dense = renv.NoiseModel(
+            link_prob=0.9, channel_noise_var=0.01, fluct_var=0.01, seed=17,
+            bias_B=rng.uniform(-0.01, 0.01, sys.B.shape), bias_P=rng.uniform(-0.01, 0.01, sys.P.shape),
         )
-        assert np.all((s_b != 0) == (sys.B.toarray() != 0))
-        assert np.all((s_p != 0) == (sys.P.toarray() != 0))
+        s_b, s_p = effective_biases(dense, sys)
+        assert np.count_nonzero(s_p) == sys.P.nnz < s_p.size
+        projected = renv.NoiseModel(
+            link_prob=0.9, channel_noise_var=0.01, fluct_var=0.01, seed=17, bias_B=s_b, bias_P=s_p
+        )
+        got, ref = renv.dlre_limit(sys, anchors, dense), renv.dlre_limit(sys, anchors, projected)
+        assert got.d_star.tobytes() == ref.d_star.tobytes()
+        assert got.e_l == ref.e_l > 0.0
+        step = [renv.dlre_step(got.d_star, sys, anchors, mdl, lambda t: 0.5, t=4) for mdl in (dense, projected)]
+        assert step[0].tobytes() == step[1].tobytes()
 
 
 class TestRandomLinkBias:
@@ -395,52 +452,3 @@ class TestRandomLinkBias:
         b = renv.random_link_bias(sys, 0.05, seed=3)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
-
-
-def preset_setup():
-    cfg = cli.parse_config_text(cli.materialize_preset("deterministic-poisson"))
-    field = cli._build_field(cfg, cfg["seed"])
-    tris = dep.triangulate_all(field)
-    return field, tris, sysm.build_system_matrices(field, tris)
-
-
-class TestDistanceNoiseAdapter:
-    @pytest.mark.parametrize("std", [0.0005, 0.002])
-    def test_batch_matches_per_draw_reference(self, std):
-        for field, tris, sys in (demo_setup()[:3], preset_setup()):
-            got = renv.noise_model_from_distance_noise(field, tris, sys, std, seed=7)
-            ref = reference_distance_noise_model(field, tris, sys, std, seed=7)
-            assert got.bias_B.tobytes() == ref.bias_B.tobytes()
-            assert got.bias_P.tobytes() == ref.bias_P.tobytes()
-            assert got.fluct_var == ref.fluct_var
-
-    def test_same_sensor_fails_as_reference(self):
-        field, tris, sys = preset_setup()
-        for fn in (renv.noise_model_from_distance_noise, reference_distance_noise_model):
-            with pytest.raises(renv.RandomEnvError, match="sensor 22;"):
-                fn(field, tris, sys, 0.01, seed=7)
-
-    def test_small_noise_small_bias(self):
-        field, tris, sys, anchors = demo_setup()
-        model = renv.noise_model_from_distance_noise(
-            field, tris, sys, distance_std=0.01, n_draws=300, seed=7
-        )
-        assert model.fluct_var > 0.0
-        s_b, s_p = renv.effective_biases(model, sys)
-        assert np.linalg.norm(s_b) < 0.05
-        assert np.linalg.norm(s_p) < 0.05
-        limit = renv.dlre_limit(sys, anchors, model)
-        assert limit.e_l < 0.5
-
-    def test_bias_shrinks_with_noise(self):
-        field, tris, sys, anchors = demo_setup()
-        small = renv.noise_model_from_distance_noise(
-            field, tris, sys, distance_std=0.002, n_draws=300, seed=7
-        )
-        large = renv.noise_model_from_distance_noise(
-            field, tris, sys, distance_std=0.05, n_draws=300, seed=7
-        )
-        e_small = renv.dlre_limit(sys, anchors, small).e_l
-        e_large = renv.dlre_limit(sys, anchors, large).e_l
-        assert e_small < e_large
-        assert small.fluct_var < large.fluct_var

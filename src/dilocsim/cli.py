@@ -429,6 +429,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None) -> d
         summary["channel_var_effective"] = channel_var
         summary["e_l"] = limit.e_l
         summary["dist_to_dstar"] = float(np.linalg.norm(trace.final_state - limit.d_star))
+        # the distance to d* at every snapshot iteration that is a power of ten
+        summary["dist_to_dstar_at"] = {
+            str(t): float(np.linalg.norm(snap - limit.d_star))
+            for t, snap in trace.snapshots
+            if t == 10 ** (len(str(t)) - 1)
+        }
     summary["iterations"] = trace.iterations
     summary["converged_at"] = trace.converged_at
     summary["final_step_norm"] = (

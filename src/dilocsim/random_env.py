@@ -10,8 +10,9 @@ squares do not), which averages the zero-mean effects away; only the fixed
 weight biases survive into the limit.
 
 All draws come from counter-style seeded streams keyed by (seed, purpose,
-iteration, draw) with a fixed intra-stream order, so any part of a step can
-be recomputed independently and reproducibly.
+step block, draw): one generator serves a block of ``_BLOCK`` consecutive
+iterations and draws all of their randomness at once, in a fixed order, so
+any step can be recomputed independently and reproducibly from its block.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .system import (
 
 _ENV_STREAM = 301
 _BIAS_STREAM = 302
+_BLOCK = 16  # iterations served by one keyed generator
 
 SCHEDULE_FAMILIES = ("harmonic", "power")
 
@@ -152,7 +154,9 @@ def _layout(model: NoiseModel, sys: SystemMatrices) -> tuple[_Links, _Links]:
         value = getattr(model, name)
         if not 0.0 <= value < np.inf:
             raise RandomEnvError(f"{name} must be finite and nonnegative, got {value!r}")
-    scalar = np.isscalar(model.link_prob)
+    # a (B, P) pair of differently shaped arrays is ragged, so only a non-pair
+    # may go through np.ndim; a 0-d array counts as a scalar
+    scalar = not isinstance(model.link_prob, (tuple, list)) and np.ndim(model.link_prob) == 0
     if scalar and not 0.0 < float(model.link_prob) <= 1.0:
         raise RandomEnvError("link probability must lie in (0, 1]")
     if not scalar and len(model.link_prob) != 2:
@@ -186,60 +190,71 @@ def _csr(values: np.ndarray, block: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((values, block.indices, block.indptr), shape=block.shape)
 
 
-def _draw(model: NoiseModel, links: tuple[_Links, _Links], m: int, t: int, draw: int):
-    """One iteration's draws, deterministic in (seed, t, draw).
+def _draw(model: NoiseModel, links: tuple[_Links, _Links], m: int, block: int, draw: int):
+    """The draws of one block of iterations, deterministic in (seed, block, draw).
 
-    Returns the B and P link masks, weight estimates (data + bias) +
-    fluctuation and channel noise; the noise is None when the model has none.
+    Row k of every array belongs to iteration ``block * _BLOCK + k``. Returns
+    the B and P link masks, weight estimates (data + bias) + fluctuation and
+    channel noise; the noise is None when the model has none.
     """
-    rng = np.random.default_rng([_u64(model.seed), _ENV_STREAM, _u64(t), _u64(draw)])
-    alive = [(rng.random(l.q.size) < l.q).astype(float) for l in links]
-    w = [l.w for l in links]
+    rng = np.random.default_rng([_u64(model.seed), _ENV_STREAM, _u64(block), _u64(draw)])
+    alive = [rng.random((_BLOCK, l.q.size)) < l.q for l in links]
+    w = [np.broadcast_to(l.w, (_BLOCK, l.w.size)) for l in links]
     if model.fluct_var > 0.0:
-        w = [l.w + rng.normal(0.0, np.sqrt(model.fluct_var), size=l.w.size) for l in links]
+        w = [l.w + rng.normal(0.0, np.sqrt(model.fluct_var), size=(_BLOCK, l.w.size)) for l in links]
     v = None
     if model.channel_noise_var > 0.0:
-        v = [rng.normal(0.0, np.sqrt(model.channel_noise_var), size=(l.w.size, m)) for l in links]
+        v = [rng.normal(0.0, np.sqrt(model.channel_noise_var), size=(_BLOCK, l.w.size, m)) for l in links]
     return alive, w, v
 
 
 def sample_environment(model: NoiseModel, sys: SystemMatrices, t: int, draw: int = 0) -> EnvironmentSample:
     """Draw one iteration's environment, deterministic in (seed, t, draw).
 
-    Draw order within the stream is fixed: B link mask, P link mask, B weight
-    fluctuations, P weight fluctuations, B channel noise, P channel noise.
-    ``draw`` separates independent replications at the same iteration.
+    The iteration's randomness is row ``t % _BLOCK`` of its block's draws,
+    made in a fixed order for the whole block: B link masks, P link masks,
+    B weight fluctuations, P weight fluctuations, B channel noise, P channel
+    noise. ``draw`` separates independent replications at the same iteration.
     """
     links = _layout(model, sys)
-    alive, w, v = _draw(model, links, sys.m, t, draw)
-    if v is None:
-        v = [np.zeros((l.w.size, sys.m)) for l in links]
-    return EnvironmentSample(alive[0], alive[1], w[0], w[1], v[0], v[1])
-
-
-def _row_sums(links: _Links, terms: np.ndarray, shape) -> np.ndarray:
-    size = shape[0] * shape[1]
-    return np.bincount(links.slots, weights=terms.ravel(), minlength=size).reshape(shape)
-
-
-def _step(x, links, U, model, alpha: float, t: int, draw: int) -> np.ndarray:
-    """dlre_step on a prebuilt layout.
-
-    Each row sum runs over its links in CSR order and the terms are added as
-    (P x + B U) + noise, the order of the sparse products this replaces, so a
-    quiet step with a constant gain equals diloc_rel_step bit for bit.
-    """
-    b, p = links
-    alive, w, v = _draw(model, links, x.shape[1], t, draw)
-    e_b = alive[0] * w[0] / b.q
-    e_p = alive[1] * w[1] / p.q
-    total = _row_sums(p, e_p[:, None] * x[p.cols], x.shape) + _row_sums(
-        b, e_b[:, None] * U[b.cols], x.shape
+    block, k = divmod(t, _BLOCK)
+    alive, w, v = _draw(model, links, sys.m, block, draw)
+    v = [np.zeros((l.w.size, sys.m)) for l in links] if v is None else [a[k] for a in v]
+    return EnvironmentSample(
+        alive[0][k].astype(float), alive[1][k].astype(float), w[0][k], w[1][k], v[0], v[1]
     )
-    if v is not None:
-        total += _row_sums(p, e_p[:, None] * v[1], x.shape) + _row_sums(
-            b, e_b[:, None] * v[0], x.shape
-        )
+
+
+def _block_terms(model, links, U, shape, block: int, draw: int):
+    """One block's P gains, P channel noise (None without it) and B row sums.
+
+    A live link's gain is its estimated weight over its alive probability.
+    The anchor terms do not depend on the state, so the whole block's B row
+    sums come from one ``bincount`` over per-iteration output slots; each
+    slot still sums its links in CSR order.
+    """
+    b = links[0]
+    alive, w, v = _draw(model, links, shape[1], block, draw)
+    e_b, e_p = (a * wt / l.q for a, wt, l in zip(alive, w, links))
+    received = U[b.cols] if v is None else U[b.cols] + v[0]
+    size = shape[0] * shape[1]
+    slots = (b.slots + size * np.arange(_BLOCK)[:, None]).ravel()
+    b_sums = np.bincount(slots, weights=(e_b[:, :, None] * received).ravel(), minlength=_BLOCK * size)
+    return e_p, None if v is None else v[1], b_sums.reshape((_BLOCK, *shape))
+
+
+def _step(x, p: _Links, terms, k: int, alpha: float) -> np.ndarray:
+    """Step k of a block with the block's terms.
+
+    A row sums its links in CSR order as (P-part) + (B-part), the order of
+    the sparse products P x + B U, so a quiet step with a constant gain
+    equals diloc_rel_step bit for bit. Channel noise is added to the
+    received value before the gain multiplies it.
+    """
+    e_p, v_p, b_sums = terms
+    received = x[p.cols] if v_p is None else x[p.cols] + v_p[k]
+    p_sums = np.bincount(p.slots, weights=(e_p[k][:, None] * received).ravel(), minlength=x.size)
+    total = p_sums.reshape(x.shape) + b_sums[k]
     return (1.0 - alpha) * x + alpha * total
 
 
@@ -262,7 +277,9 @@ def dlre_step(
     """
     links = _layout(model, sys)
     U = np.asarray(anchors.U, dtype=float)
-    return _step(x, links, U, model, float(schedule(t)), t, draw)
+    block, k = divmod(t, _BLOCK)
+    terms = _block_terms(model, links, U, x.shape, block, draw)
+    return _step(x, links[1], terms, k, float(schedule(t)))
 
 
 def run_dlre(
@@ -284,10 +301,16 @@ def run_dlre(
     """
     links = _layout(model, sys)
     U = np.asarray(anchors.U, dtype=float)
+    terms = None
 
     def step(t, x):
+        # the loop counts t up from 0, so a block is drawn at its first step
+        nonlocal terms
+        block, k = divmod(t, _BLOCK)
+        if k == 0:
+            terms = _block_terms(model, links, U, x.shape, block, 0)
         alpha = float(schedule(t))
-        return _step(x, links, U, model, alpha, t, 0), alpha
+        return _step(x, links[1], terms, k, alpha), alpha
 
     trace = RunTrace(
         mode="dlre",

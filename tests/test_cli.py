@@ -221,6 +221,10 @@ class TestRunExperiment:
         assert summary["e_l"] == 0.0  # unbiased environment
         assert summary["channel_var_effective"] == pytest.approx(1.0 / summary["n_sensors"])
         assert "dist_to_dstar" in summary and "rho_P" in summary
+        # distance to d* at the power-of-ten snapshots (stride 10)
+        checkpoints = summary["dist_to_dstar_at"]
+        assert list(checkpoints) == ["10", "100", "1000"]
+        assert checkpoints["1000"] <= checkpoints["10"]
         rows = (out / "trace.tsv").read_text().splitlines()[1:]
         first_err = float(rows[0].split("\t")[2])
         last_err = float(rows[-1].split("\t")[2])

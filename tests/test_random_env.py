@@ -113,6 +113,31 @@ class TestSampling:
         np.testing.assert_array_equal(a.alive_P, b.alive_P)
         assert not np.array_equal(a.v_B, c.v_B)
 
+    def test_zero_d_link_prob_is_the_float(self):
+        _, _, sys, anchors = demo_setup()
+        x = eng.initial_state(anchors, sys.M, seed=8).X
+        got, ref = (
+            renv.NoiseModel(link_prob=q, channel_noise_var=0.1, seed=8) for q in (np.array(0.9), 0.9)
+        )
+        a, b = renv.sample_environment(got, sys, t=3), renv.sample_environment(ref, sys, t=3)
+        np.testing.assert_array_equal(a.alive_P, b.alive_P)
+        np.testing.assert_array_equal(a.v_B, b.v_B)
+        step = [renv.dlre_step(x, sys, anchors, mdl, lambda t: 0.5, t=3) for mdl in (got, ref)]
+        assert step[0].tobytes() == step[1].tobytes()
+        with pytest.raises(renv.RandomEnvError):
+            renv.sample_environment(renv.NoiseModel(link_prob=np.array(0.0)), sys, t=0)
+
+    def test_block_edges_and_draws_separate_samples(self):
+        # steps 15 and 16 fall in different blocks, so different generators
+        _, _, sys, _ = demo_setup()
+        model = renv.NoiseModel(link_prob=0.8, channel_noise_var=0.1, fluct_var=0.05, seed=9)
+        base = renv.sample_environment(model, sys, t=15, draw=0)
+        for t, draw in ((16, 0), (15, 1)):
+            other = renv.sample_environment(model, sys, t=t, draw=draw)
+            assert not np.array_equal(base.v_B, other.v_B)
+            assert not np.array_equal(base.v_P, other.v_P)
+            assert not np.array_equal(base.p_hat_data, other.p_hat_data)
+
     def test_bad_link_prob_rejected(self):
         _, _, sys, _ = demo_setup()
         with pytest.raises(renv.RandomEnvError):
@@ -257,6 +282,63 @@ class TestDlreStep:
             np.testing.assert_array_less(np.abs(mean), 4.0 * se + 1e-12)
             second_moments.append(sq_norm / draws)
         assert max(second_moments) < 50.0
+
+
+class TestStreamContract:
+    """run_dlre, dlre_step and sample_environment read one keyed stream."""
+
+    @staticmethod
+    def model(sys):
+        bias_b, bias_p = renv.random_link_bias(sys, 0.02, seed=19)
+        return renv.NoiseModel(
+            link_prob=0.8, channel_noise_var=0.05, bias_B=bias_b, bias_P=bias_p,
+            fluct_var=0.03, seed=19,
+        )
+
+    def test_chained_steps_are_the_run(self):
+        # 41 steps cross the block edges at 16 and 32
+        _, _, sys, anchors = demo_setup()
+        model = self.model(sys)
+        schedule = renv.make_weight_schedule("harmonic", 2.0)
+        initial = eng.initial_state(anchors, sys.M, seed=19)
+        trace = renv.run_dlre(initial, sys, anchors, model, schedule, max_iters=41, snapshot_stride=1)
+        x = initial.X
+        for t, (it, snap) in enumerate(trace.snapshots):
+            x = renv.dlre_step(x, sys, anchors, model, schedule, t, draw=0)
+            assert it == t + 1
+            assert x.tobytes() == snap.tobytes()
+        assert len(trace.snapshots) == 41
+
+    def test_one_generator_per_block(self, monkeypatch):
+        _, _, sys, anchors = demo_setup()
+        model = self.model(sys)
+        initial = eng.initial_state(anchors, sys.M, seed=19)
+        keys = []
+        build = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda key: keys.append(key) or build(key))
+        renv.run_dlre(initial, sys, anchors, model, lambda t: 0.5, max_iters=41, snapshot_stride=0)
+        assert keys == [[19, 301, block, 0] for block in range(3)]
+
+    @pytest.mark.parametrize("t, draw", [(0, 0), (15, 0), (16, 0), (37, 2)])
+    def test_sample_rebuilds_the_step(self, t, draw):
+        # a live link contributes (w + fluct) / q times the received, noisy value
+        _, _, sys, anchors = demo_setup()
+        model = self.model(sys)
+        x = eng.initial_state(anchors, sys.M, seed=t).X
+        U = np.asarray(anchors.U, dtype=float)
+        alpha = 0.4
+        s = renv.sample_environment(model, sys, t, draw)
+        total = np.zeros_like(x)
+        for block, src, alive, w, v in (
+            (sys.P, x, s.alive_P, s.p_hat_data, s.v_P),
+            (sys.B, U, s.alive_B, s.b_hat_data, s.v_B),
+        ):
+            for i in range(block.shape[0]):
+                for k in range(block.indptr[i], block.indptr[i + 1]):
+                    total[i] += alive[k] * w[k] / model.link_prob * (src[block.indices[k]] + v[k])
+        rebuilt = (1.0 - alpha) * x + alpha * total
+        got = renv.dlre_step(x, sys, anchors, model, lambda _t: alpha, t, draw)
+        np.testing.assert_allclose(got, rebuilt, rtol=0.0, atol=1e-15)
 
 
 class TestDlreRun:

@@ -375,6 +375,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None) -> d
     }
     if rho_error is not None:
         summary["rho_P_error"] = rho_error
+    summary["setup"] = _setup_summary(tris, field.m)
     if algo in ("diloc", "diloc_rel"):
         alpha = cfg["alpha"] if algo == "diloc_rel" else 1.0
         trace = eng.run_to_convergence(
@@ -451,6 +452,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None) -> d
     emit_plot_data(trace, out / "plot", sys_m.m)
     dep.save_field(field, out / "field.field")
     return summary
+
+
+def _setup_summary(tris: dict, m: int) -> dict:
+    """What the set-up phase did: radius quantiles, the sensor with the
+    largest radius (lowest id on ties) and how many sensors triangulate off
+    at least one anchor (ids 1..m+1). Deterministic; no timing."""
+    ids = sorted(tris)
+    radius = np.array([tris[l].radius for l in ids])
+    return {
+        "radius_p50": float(np.percentile(radius, 50)),
+        "radius_p99": float(np.percentile(radius, 99)),
+        "radius_max": float(radius.max()),
+        "max_radius_sensor": ids[int(np.argmax(radius))],
+        "sensors_on_anchors": sum(min(tris[l].neighbor_ids) <= m + 1 for l in ids),
+    }
 
 
 def _replica_seed(base: int, index: int) -> int:

@@ -10,6 +10,7 @@ weights. Poisson deployment utilities quantify how large that radius must be.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -269,31 +270,110 @@ def _slack(sq_diam, sq_reach: float, m: int, frame_err: float):
     return 2.0 * math.factorial(m) * eta * scale ** (m / 2.0) + frame_err
 
 
-def _surrounds(coords: np.ndarray, verts: np.ndarray, slack):
-    """Prefilter: whether subset verts[s] plus candidate q surrounds l within slack.
+def _det(x: np.ndarray) -> np.ndarray:
+    """Determinants of stacked square matrices, in closed form up to 3 x 3."""
+    k = x.shape[-1]
+    if k == 0:
+        return np.ones(x.shape[:-2])
+    if k == 1:
+        return x[..., 0, 0]
+    if k == 2:
+        return x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
+    if k == 3:  # expansion along the first row
+        return (
+            x[..., 0, 0] * _det(x[..., 1:, 1:])
+            - x[..., 0, 1] * _det(x[..., 1:, ::2])
+            + x[..., 0, 2] * _det(x[..., 1:, :2])
+        )
+    return np.linalg.det(x)
 
-    ``verts`` (S, m) holds vertex rows of ``coords``; the result is an
-    (S, n) mask over every state s and last vertex q. The signed sub-volume
-    determinants of a subset are -det(A) and (adj(A) q)_a for
-    A = coords[verts[s]].T: by Cramer's rule, replacing column a of A by q
-    gives (adj(A) q)_a. l lies inside exactly when they share one sign; a
-    subset passes when all are >= -slack or all are <= slack.
+
+@functools.lru_cache(maxsize=None)
+def _cofactor_layout(m: int):
+    """Index table and signs of the (m-1) x (m-1) minors of an m x m matrix.
+
+    Built once per dimension; read-only, since every caller shares them.
     """
-    m = coords.shape[1]
-    a = coords[verts].transpose(0, 2, 1)
     others = np.array([np.delete(np.arange(m), i) for i in range(m)]).reshape(m, m - 1)
-    # minors[:, j, i] drops row j and column i; the cofactors are adj(A).T
-    minors = a[:, others[:, None, :, None], others[None, :, None, :]]
     sign = (-1.0) ** np.add.outer(np.arange(m), np.arange(m))
-    cof = sign * np.linalg.det(minors)
-    base = -np.linalg.det(a)
-    tol = slack[:, None]
-    low = np.broadcast_to((base >= -slack)[:, None], (len(verts), len(coords)))
-    high = (base <= slack)[:, None]
-    for i in range(m):
-        vals = cof[:, :, i] @ coords.T  # (adj(A_s) q)_i for every s and q
-        low, high = low & (vals >= -tol), high & (vals <= tol)
+    others.flags.writeable = sign.flags.writeable = False
+    return others, sign
+
+
+def _surrounds(coords: np.ndarray, verts: np.ndarray, s: np.ndarray, q: np.ndarray, slack):
+    """Prefilter: whether subsets (verts[s], q) surround l within slack.
+
+    ``verts`` (S, m) holds vertex rows of ``coords``; each subset adds a
+    last vertex q to state s. The signed sub-volume determinants of a subset
+    are -det(A) and (adj(A) q)_a for A = coords[verts[s]].T: by Cramer's
+    rule, replacing column a of A by q gives (adj(A) q)_a. l lies inside
+    exactly when they share one sign; a subset passes when all are >= -slack
+    or all are <= slack.
+    """
+    others, sign = _cofactor_layout(coords.shape[1])
+    a = coords[verts].transpose(0, 2, 1)
+    # minors[:, j, i] drops row j and column i; adj[i, j] is its signed determinant
+    minors = a[:, others[:, None, :, None], others[None, :, None, :]]
+    adj = sign * _det(minors).transpose(0, 2, 1)
+    vals = np.einsum("kij,kj->ki", adj[s], coords[q])
+    base, tol = -_det(a)[s], slack[s]
+    low, high = base >= -tol, base <= tol
+    for i in range(vals.shape[1]):
+        low &= vals[:, i] >= -tol
+        high &= vals[:, i] <= tol
     return low | high
+
+
+def _opposite_arcs(coords: np.ndarray, slack: float):
+    """Third-vertex search for planar edges, over one round's candidates.
+
+    ``slack`` bounds the slack of every edge in the round. Returns
+    ``(arcs, by_angle)``: ``arcs(ei, ej, edge_slack)`` gives, per edge,
+    (wide, lo, count), and the candidates that may complete edge (ei, ej)
+    to a triangle surrounding l -- a superset of those passing
+    ``_surrounds`` -- are by_angle[(lo + i) % n] for 0 <= i < count, or any
+    candidate at all where ``wide`` is set.
+
+    Orient each edge (a, b) counter-clockwise about l, with
+    det(a, b) > edge_slack and angle phi from a to b. A third vertex k then
+    passes only if det(b, k) >= -edge_slack and det(k, a) >= -edge_slack,
+    which puts its direction in the arc from angle(a) + pi - A_a to
+    angle(b) + pi + A_b, where sin(A_v) = slack / (|v| r_min) + 4 ulp bounds
+    the angular slack for any k (r_min: the nearest candidate). Edges where
+    that fails to hold -- det(a, b) within the slack, A_v undefined, or
+    phi <= A_a + A_b, where a second arc near a and b opens -- are wide.
+    Each arc end depends on one vertex, so the ends are placed in the angle
+    order once per round, not once per edge.
+    """
+    n = coords.shape[0]
+    theta = np.arctan2(coords[:, 1], coords[:, 0])
+    by_angle = np.argsort(theta, kind="stable")
+    th = theta[by_angle]
+    th2 = np.concatenate([th, th + 2.0 * math.pi])
+    r = np.hypot(coords[:, 0], coords[:, 1])
+    with np.errstate(divide="ignore"):  # a candidate at l itself: every edge is wide
+        sin_v = slack / (r * r.min()) * (1.0 + 1e-9) + 4.0 * np.finfo(float).eps
+    wide_v = sin_v >= 1.0
+    ang = np.arcsin(np.minimum(sin_v, 1.0)) + 1e-9
+    begin = th[0] + np.mod(theta + math.pi - ang - th[0], 2.0 * math.pi)
+    end = th[0] + np.mod(theta + math.pi + ang - th[0], 2.0 * math.pi)
+    lo_v = np.searchsorted(th2, begin, side="left")
+    hi_v = np.searchsorted(th2, end, side="right")
+
+    def arcs(ei: np.ndarray, ej: np.ndarray, edge_slack):
+        det = coords[ei, 0] * coords[ej, 1] - coords[ei, 1] * coords[ej, 0]
+        a, b = np.where(det >= 0.0, ei, ej), np.where(det >= 0.0, ej, ei)
+        phi = np.mod(theta[b] - theta[a], 2.0 * math.pi)
+        wide = (
+            (np.abs(det) <= edge_slack) | wide_v[a] | wide_v[b]
+            | (phi <= ang[a] + ang[b]) | (phi >= math.pi)
+        )
+        lo = lo_v[a]
+        # an arc that passes angle th[0] + 2 pi ends in the second copy of th
+        hi = np.minimum(hi_v[b] + n * (end[b] < begin[a]), lo + n)
+        return wide, lo, hi - lo
+
+    return arcs, by_angle
 
 
 def _hopeless(coords: np.ndarray, slack: float) -> bool:
@@ -349,93 +429,189 @@ def _hopeless(coords: np.ndarray, slack: float) -> bool:
     return not (chained[:-1] & chained[1:]).any()
 
 
-def _first_inside_subset(field: SensorField, l: int, radius: float, prev_radius: float = 0.0):
-    """First strictly containing (m+1)-subset of in-radius neighbors, or None.
+_PAIR_BUDGET = 1 << 19  # work items per batch of the set-up walk
 
-    Candidate subsets are ordered by (max pairwise distance, lexicographic
-    ids): tight cells first, deterministic throughout. The walk is lazy:
-    candidate pairs are taken in (length, ids) order, a block of equal
-    lengths at a time, and each pair closes the subsets in which it is a
-    longest edge. Only subsets holding a node beyond ``prev_radius`` count,
-    since every other one failed in the previous round, and only those
-    whose directions from l surround it within the slack of ``_slack``
-    reach the kernel; the rest provably fail it. A round in which no
-    subset can surround l (``_hopeless``) is skipped whole. Directions come
-    from ``_local_frame``, so the search reads squared distances only.
+
+def _tie_end(length: np.ndarray, i: int) -> int:
+    """Smallest index >= i (capped at the end) that does not split a run of equal lengths."""
+    i = min(i, length.size)
+    while i < length.size and length[i] == length[i - 1]:
+        i += 1
+    return i
+
+
+class _Search:
+    """The set-up search of sensor l, with what carries over between rounds.
+
+    Candidates are the other nodes in order of distance from l (ties by
+    id), listed as the radius grows, so every round's candidates extend the
+    last round's: the distance row is read once, and the squared-distance
+    table and the list of candidate pairs sorted by length only grow.
+    Directions come from ``_local_frame``, so the search reads squared
+    distances only.
     """
-    m = field.m
-    sq = field.sq_distances_from(l)
-    sq_r = radius * radius
-    cand_rows = np.flatnonzero(sq < sq_r)
-    cand_rows = cand_rows[cand_rows != l - 1]
-    n_c = cand_rows.size
-    if n_c < m + 1:
-        return None, n_c
-    sq_to_l = sq[cand_rows]
-    new = sq_to_l >= prev_radius * prev_radius
-    if not new.any():
-        return None, n_c
-    cand_ids = cand_rows + 1
-    pts = field._all_coords[cand_rows]
-    diffs = pts[:, None, :] - pts[None, :, :]
-    sq_cand = np.einsum("ijk,ijk->ij", diffs, diffs)
-    sq_cand = (sq_cand + sq_cand.T) / 2.0
-    np.fill_diagonal(sq_cand, 0.0)
-    coords, frame_err = _local_frame(sq_cand, sq_to_l, m)
-    sq_reach = float(sq_to_l.max())
-    if _hopeless(coords, float(_slack(sq_cand.max(), sq_reach, m, frame_err))):
-        return None, n_c
-    first, second = np.triu_indices(n_c, 1)
-    length = sq_cand[first, second]
-    order = np.argsort(length, kind="stable")
-    first, second, length = first[order], second[order], length[order]
-    start, batch = 0, 16
-    while start < length.size:
-        stop = min(start + batch, length.size)
-        while stop < length.size and length[stop] == length[stop - 1]:
-            stop += 1
-        ei, ej, diam = first[start:stop], second[start:stop], length[start:stop]
-        start = stop
-        # about 2^19 (state, last vertex) pairs at most per batch
-        batch = min(2 * batch, max(16, (1 << 19) // n_c ** max(1, m - 1)))
-        slack = _slack(diam, sq_reach, m, frame_err)
-        if m == 1:
-            verts, mask = ei[:, None], np.zeros((ei.size, n_c), dtype=bool)
-            mask[np.arange(ei.size), ej] = True
-        else:
-            verts, cols = np.stack([ei, ej], axis=1), np.arange(n_c)
-            mask = (sq_cand[ei] <= diam[:, None]) & (sq_cand[ej] <= diam[:, None])
-            mask[np.arange(ei.size), ei] = False
-            mask[np.arange(ej.size), ej] = False
-            # grow each state by its next vertex, in increasing index order
-            while verts.shape[1] < m:
-                s, k = np.nonzero(mask)
-                verts, diam, slack = np.column_stack([verts[s], k]), diam[s], slack[s]
-                mask = mask[s] & (sq_cand[k] <= diam[:, None]) & (cols[None, :] > k[:, None])
-        mask &= new[verts].any(axis=1)[:, None] | new[None, :]
-        mask &= _surrounds(coords, verts, slack)
-        s, q = np.nonzero(mask)
-        if not s.size:
-            continue
-        subsets = np.sort(np.column_stack([verts[s], q]), axis=1)
-        rank = np.lexsort(tuple(subsets[:, ::-1].T) + (diam[s],))
-        subsets = subsets[rank]
-        distinct = np.ones(len(subsets), dtype=bool)
-        distinct[1:] = (subsets[1:] != subsets[:-1]).any(axis=1)
-        subsets = subsets[distinct]
-        hits = np.flatnonzero(batch_strict_inclusion(sq_cand, sq_to_l, subsets, m))
-        if hits.size:
-            return tuple(int(cand_ids[i]) for i in subsets[hits[0]]), n_c
-    return None, n_c
+
+    def __init__(self, field: SensorField, l: int):
+        self.m = field.m
+        self._coords = field._all_coords
+        self._row = field.sq_distances_from(l)
+        self._row[l - 1] = np.inf  # l is not its own candidate
+        self._sq_r = 0.0  # the candidates listed are those within this squared radius
+        self.ids = np.zeros(0, dtype=np.intp)
+        self.sq_to_l = np.zeros(0)
+        self._pts = np.zeros((0, self.m))
+        self._sq = np.zeros((0, 0))
+        # every candidate pair (first < second), sorted by squared length
+        self._length = np.zeros(0)
+        self._first = self._second = np.zeros(0, dtype=np.intp)
+
+    def count(self, radius: float) -> int:
+        """Number of candidates strictly within ``radius``."""
+        sq_r = radius * radius
+        if sq_r > self._sq_r:
+            # list the nodes the larger radius adds, in (distance, id) order
+            rows = np.flatnonzero((self._row < sq_r) & (self._row >= self._sq_r))
+            rows = rows[np.argsort(self._row[rows], kind="stable")]
+            self.ids = np.concatenate([self.ids, rows + 1])
+            self.sq_to_l = np.concatenate([self.sq_to_l, self._row[rows]])
+            self._pts = np.concatenate([self._pts, self._coords[rows]])
+            self._sq_r = sq_r
+        return int(np.searchsorted(self.sq_to_l, sq_r, side="left"))
+
+    def _grow(self, n: int):
+        """Extend the distance table and the sorted pair list to n candidates."""
+        old = self._sq.shape[0]
+        pts = self._pts[:n]
+        diffs = pts[old:, None, :] - pts[None, :, :]
+        rows = np.einsum("ijk,ijk->ij", diffs, diffs)
+        sq = np.empty((n, n))
+        sq[:old, :old] = self._sq
+        sq[old:] = rows
+        sq[:old, old:] = rows[:, :old].T
+        self._sq = sq
+        # the new pairs (first < second, second new), sorted by length
+        second, first = np.nonzero(np.arange(n)[None, :] < np.arange(old, n)[:, None])
+        length = rows[second, first]
+        by_length = np.argsort(length)
+        first, second = first[by_length], second[by_length] + old
+        # two sorted runs, so this stable sort is a merge; the walk batches
+        # equal lengths together, so the order among them does not matter
+        length = np.concatenate([self._length, length[by_length]])
+        order = np.argsort(length, kind="stable")
+        self._length = length[order]
+        self._first = np.concatenate([self._first, first])[order]
+        self._second = np.concatenate([self._second, second])[order]
+
+    def first_inside(self, n_c: int, n_old: int = 0):
+        """First strictly containing (m+1)-subset of the first n_c candidates, or None.
+
+        Candidate subsets are ordered by (max pairwise distance, lexicographic
+        ids): tight cells first, deterministic throughout. The walk is lazy:
+        candidate pairs are taken by length, a block at a time that never
+        splits a run of equal lengths, each pair closes the subsets in which
+        it is a longest edge, and each block's subsets are sorted. Only
+        subsets holding a candidate of index n_old or more count, since
+        every other one failed in an earlier round, and only those whose
+        directions from l surround it within the slack of ``_slack`` reach
+        the kernel; the rest provably fail it. A round in which no subset
+        can surround l (``_hopeless``) is skipped whole. In the plane, third
+        vertices come from the arc opposite each edge (``_opposite_arcs``).
+        ``n_c`` may not shrink between calls.
+        """
+        m = self.m
+        if n_c > self._sq.shape[0]:
+            self._grow(n_c)
+        sq_cand, sq_to_l = self._sq, self.sq_to_l[:n_c]
+        coords, frame_err = _local_frame(sq_cand, sq_to_l, m)
+        sq_reach = float(sq_to_l[-1])
+        first, second, length = self._first, self._second, self._length
+        round_slack = float(_slack(length[-1], sq_reach, m, frame_err))
+        if _hopeless(coords, round_slack):
+            return None
+        if m == 2:
+            arcs, by_angle = _opposite_arcs(coords, round_slack)
+            dist = np.sqrt(sq_to_l)
+        # batches double from 64 pairs, up to 2^16 planar edges (each batch
+        # then cut at _PAIR_BUDGET third vertices) or about _PAIR_BUDGET mask
+        # entries
+        cap = max(16, 1 << 16 if m == 2 else _PAIR_BUDGET // n_c ** max(1, m - 1))
+        start, batch = 0, min(64, cap)
+        while start < length.size:
+            stop = _tie_end(length, start + batch)
+            ei, ej, diam = first[start:stop], second[start:stop], length[start:stop]
+            slack = _slack(diam, sq_reach, m, frame_err)
+            fresh = ej >= n_old  # whether a state holds a new candidate; ei < ej
+            if m == 1:
+                verts, s, q = ei[:, None], np.arange(ei.size), ej
+            elif m == 2:
+                verts = np.stack([ei, ej], axis=1)
+                wide, lo, count = arcs(ei, ej, slack)
+                # a wide edge's third vertex lies within sqrt(diam) of both
+                # ends, so it is no farther from l than the nearer end plus
+                # sqrt(diam) (up to rounding), and it is new if both ends are old
+                w = np.flatnonzero(wide)
+                lo[w] = np.where(fresh[w], 0, n_old)
+                reach = (np.minimum(dist[ei[w]], dist[ej[w]]) + np.sqrt(diam[w])) * (1.0 + 1e-9)
+                count[w] = np.maximum(np.searchsorted(dist, reach, side="right") - lo[w], 0)
+                total = np.cumsum(count)
+                if total[-1] > _PAIR_BUDGET:
+                    # leave the edges past the budget to the next batch
+                    stop = _tie_end(length, start + int(np.searchsorted(total, _PAIR_BUDGET)) + 1)
+                    cut = stop - start
+                    ei, ej, diam, slack, verts, fresh = (x[:cut] for x in (ei, ej, diam, slack, verts, fresh))
+                    wide, lo, count, total = wide[:cut], lo[:cut], count[:cut], total[:cut]
+                s = np.repeat(np.arange(count.size), count)
+                k = lo[s] + np.arange(s.size) - np.repeat(total - count, count)
+                q = np.where(wide[s], k, by_angle[k % n_c])
+                ok = (sq_cand[ei[s], q] <= diam[s]) & (sq_cand[ej[s], q] <= diam[s])
+                ok &= (q != ei[s]) & (q != ej[s])
+                s, q = s[ok], q[ok]
+            else:
+                verts, cols = np.stack([ei, ej], axis=1), np.arange(n_c)
+                mask = (sq_cand[ei] <= diam[:, None]) & (sq_cand[ej] <= diam[:, None])
+                mask[np.arange(ei.size), ei] = False
+                mask[np.arange(ej.size), ej] = False
+                # grow each state by its next vertex, in increasing index order
+                while verts.shape[1] < m:
+                    s, k = np.nonzero(mask)
+                    verts, diam, slack = np.column_stack([verts[s], k]), diam[s], slack[s]
+                    fresh = fresh[s] | (k >= n_old)
+                    mask = mask[s] & (sq_cand[k] <= diam[:, None]) & (cols[None, :] > k[:, None])
+                s, q = np.nonzero(mask)
+            start, batch = stop, min(2 * batch, cap)
+            keep = fresh[s] | (q >= n_old)
+            if not keep.any():
+                continue
+            states, s = np.unique(s[keep], return_inverse=True)
+            verts, diam, slack, q = verts[states], diam[states], slack[states], q[keep]
+            keep = _surrounds(coords, verts, s, q, slack)
+            s, q = s[keep], q[keep]
+            if not s.size:
+                continue
+            # vertices in id order, subsets in (diameter, ids) order
+            subsets = np.column_stack([verts[s], q])
+            by_id = np.argsort(self.ids[subsets], axis=1)
+            subsets = np.take_along_axis(subsets, by_id, axis=1)
+            key = self.ids[subsets]
+            rank = np.lexsort(tuple(key[:, ::-1].T) + (diam[s],))
+            subsets, key = subsets[rank], key[rank]
+            distinct = np.ones(len(key), dtype=bool)
+            distinct[1:] = (key[1:] != key[:-1]).any(axis=1)
+            subsets, key = subsets[distinct], key[distinct]
+            hits = np.flatnonzero(batch_strict_inclusion(sq_cand, sq_to_l, subsets, m))
+            if hits.size:
+                return tuple(int(i) for i in key[hits[0]])
+        return None
 
 
 def triangulate_sensor(field: SensorField, l: int, r0=None, growth=1.25) -> TriangulationSet:
     """Set-up phase for one sensor: grow the radius until triangulated.
 
     Starts from a small radius and multiplies it by ``growth`` after each
-    failed round. Success within the network diameter is guaranteed for a
-    valid field because the anchors themselves contain every sensor; failure
-    past that point raises DivergedError.
+    failed round. A round with fewer than m+1 candidates, or none new since
+    the previous round, fails without a search. Success within the network
+    diameter is guaranteed for a valid field because the anchors themselves
+    contain every sensor; failure past that point raises DivergedError.
     """
     if l not in field.sensor_ids:
         raise DeploymentError(f"node {l} is not a sensor")
@@ -443,19 +619,21 @@ def triangulate_sensor(field: SensorField, l: int, r0=None, growth=1.25) -> Tria
         r0 = _default_r0(field)
     if r0 <= 0 or growth <= 1.0:
         raise DeploymentError("need r0 > 0 and growth > 1")
-    radius, prev_radius = float(r0), 0.0
+    search = _Search(field, l)
+    radius, n_old = float(r0), 0
     while True:
-        theta, n_candidates = _first_inside_subset(field, l, radius, prev_radius)
+        n_c = search.count(radius)
+        theta = search.first_inside(n_c, n_old) if n_c > max(n_old, field.m) else None
         if theta is not None:
             d = field.distance_submatrix((l,) + theta)
             w = barycentric_coordinates(l, theta, d, field.m)
             return TriangulationSet(l, radius, theta, w)
-        if n_candidates >= field.n_nodes - 1:
+        if n_c >= field.n_nodes - 1:
             raise DivergedError(
                 f"sensor {l} saw every node at radius {radius:.6g} and still "
                 "found no containing subset; field violates the convexity assumption"
             )
-        radius, prev_radius = radius * growth, radius
+        radius, n_old = radius * growth, n_c
 
 
 def triangulate_all(field: SensorField, r0=None, growth=1.25) -> dict[int, TriangulationSet]:
@@ -469,8 +647,9 @@ def can_triangulate(field: SensorField, l: int, r: float) -> bool:
     """Whether some m+1 neighbors within radius ``r`` strictly contain ``l``."""
     if l not in field.sensor_ids:
         raise DeploymentError(f"node {l} is not a sensor")
-    theta, _ = _first_inside_subset(field, l, float(r))
-    return theta is not None
+    search = _Search(field, l)
+    n_c = search.count(float(r))
+    return n_c > field.m and search.first_inside(n_c) is not None
 
 
 def sector_sufficiency_check(field: SensorField, l: int, r: float) -> bool:

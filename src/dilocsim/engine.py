@@ -129,8 +129,9 @@ def _check_dims(state: IterationState, sys: SystemMatrices, anchors: AnchorBlock
         raise DimensionMismatchError("anchor block shape does not match the system")
 
 
-def _relaxed(x: np.ndarray, sys: SystemMatrices, U: np.ndarray, alpha: float) -> np.ndarray:
-    total = sys.P @ x + sys.B @ U
+def _relaxed(x: np.ndarray, sys: SystemMatrices, BU: np.ndarray, alpha: float) -> np.ndarray:
+    """(1 - alpha) x + alpha (P x + B U), given the constant anchor term B U."""
+    total = sys.P @ x + BU
     return total if alpha == 1.0 else (1.0 - alpha) * x + alpha * total
 
 
@@ -148,7 +149,7 @@ def diloc_rel_step(
     """
     _check_alpha(alpha)
     _check_dims(state, sys, anchors)
-    new_x = _relaxed(state.X, sys, np.asarray(anchors.U, dtype=float), alpha)
+    new_x = _relaxed(state.X, sys, sys.B @ np.asarray(anchors.U, dtype=float), alpha)
     return IterationState(np.vstack([state.U, new_x]), t=state.t + 1, alpha=alpha)
 
 
@@ -188,7 +189,7 @@ def run_to_convergence(
     _check_dims(initial, sys, anchors)
     gain = 1.0 if mode == "diloc" else alpha
     _check_alpha(gain)
-    U = np.asarray(anchors.U, dtype=float)
+    BU = sys.B @ np.asarray(anchors.U, dtype=float)  # constant over the run
     trace = RunTrace(
         mode=mode,
         seed=seed,
@@ -197,7 +198,7 @@ def run_to_convergence(
         n_sensors=sys.M,
     )
     return _trace_loop(
-        trace, initial.X, lambda _, x: (_relaxed(x, sys, U, gain), gain),
+        trace, initial.X, lambda _, x: (_relaxed(x, sys, BU, gain), gain),
         max_iters, step_tol, snapshot_stride, oracle, start=initial.t,
     )
 

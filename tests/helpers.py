@@ -147,8 +147,8 @@ def reference_first_inside_subset(field, l, radius):
 
     Builds every (m+1)-subset of the candidates within ``radius``, orders them
     by (max pairwise squared distance, lexicographic ids) and tests them all
-    with the library's inclusion kernel. Returns (ids or None, candidate count),
-    the contract of ``deployment._first_inside_subset``.
+    with the library's inclusion kernel. Returns (ids or None, candidate count);
+    the ids are what one round of ``deployment._Search`` must return.
     """
     from itertools import combinations
 

@@ -274,6 +274,25 @@ class TestRunExperiment:
         summary = cli.run_experiment(cfg, tmp_path / "out")
         assert abs(summary["decay_rate"] - summary["rho_P"]) <= 0.05
 
+    def test_setup_block_on_deterministic_poisson(self, tmp_path):
+        cfg = cli.parse_config_text(cli.materialize_preset("deterministic-poisson"))
+        cli.run_experiment(cfg, tmp_path / "out")
+        setup = json.loads((tmp_path / "out" / "summary.json").read_text())["setup"]
+        field = cli._build_field(cfg, cfg["seed"])
+        tris = dep.triangulate_all(field)
+        radius = {l: t.radius for l, t in tris.items()}
+        assert setup["radius_p50"] == np.median(list(radius.values()))
+        assert setup["radius_max"] == max(radius.values())
+        assert setup["radius_p50"] <= setup["radius_p99"] <= setup["radius_max"]
+        widest = setup["max_radius_sensor"]
+        assert radius[widest] == setup["radius_max"]
+        assert all(r < setup["radius_max"] for l, r in radius.items() if l < widest)
+        on_anchors = [l for l, t in tris.items() if set(t.neighbor_ids) & set(field.anchor_ids)]
+        assert setup["sensors_on_anchors"] == len(on_anchors) > 0
+        assert set(setup) == {
+            "radius_p50", "radius_p99", "radius_max", "max_radius_sensor", "sensors_on_anchors"
+        }
+
     def test_rho_p_bracket_is_tight_on_poisson_presets(self):
         names = [n for n in cli.preset_names() if "field.source = poisson" in cli.materialize_preset(n)]
         assert len(names) == 5

@@ -357,8 +357,16 @@ def _prefilter_verdicts(points, l_point):
     diam = sq_cand[combos[:, :, None], combos[:, None, :]].max(axis=(1, 2))
     slack = dep._slack(diam, sq_to_l.max(), m, frame_err)
     rows = np.arange(len(combos))
-    passed = dep._surrounds(coords, combos[:, :-1], slack)[rows, combos[:, -1]]
+    passed = dep._surrounds(coords, combos[:, :-1], rows, combos[:, -1], slack)
     hopeless = dep._hopeless(coords, float(dep._slack(sq_cand.max(), sq_to_l.max(), m, frame_err)))
+    if m == 2:
+        # the planar walk draws third vertices from the arc opposite each edge
+        arcs, by_angle = dep._opposite_arcs(coords, float(slack.max()))
+        rank = np.argsort(by_angle)
+        for e0, e1, third in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            wide, lo, count = arcs(combos[:, e0], combos[:, e1], slack)
+            drawn = wide | ((rank[combos[:, third]] - lo) % n < count)
+            assert drawn[passed].all()
     return accepted, passed, hopeless
 
 
@@ -387,6 +395,30 @@ class TestPrefilterConservative:
         pts = rng.random((9, 2)) + np.array([0.0, 1.0])
         assert _prefilter_verdicts(pts, np.array([0.5, 0.0]))[2]
         assert not _prefilter_verdicts(pts, pts.mean(axis=0))[2]
+
+
+class TestPlanarWalkScaling:
+    def test_last_round_scores_few_triangles(self, monkeypatch):
+        # the boundary sensor with the largest radius of a density-6 field
+        # (M = 278): its last round sees 253 candidates and walks all their
+        # pairs before its hit, which holds an anchor; scoring each pair
+        # against every candidate would take about n_c^3 / 2 entries
+        field = dep.generate_poisson_field(2, 6.0, FIFTY_NODE_ANCHORS, seed=3)
+        tris = dep.triangulate_all(field)
+        l = max(tris, key=lambda k: (tris[k].radius, -k))
+        scored = []
+        surrounds = dep._surrounds
+
+        def counting(coords, verts, s, q, slack):
+            scored.append((len(coords), len(s)))
+            return surrounds(coords, verts, s, q, slack)
+
+        monkeypatch.setattr(dep, "_surrounds", counting)
+        assert dep.triangulate_sensor(field, l).neighbor_ids == tris[l].neighbor_ids
+        n_c = max(n for n, _ in scored)
+        last = sum(k for n, k in scored if n == n_c)
+        assert n_c >= 200 and min(tris[l].neighbor_ids) in field.anchor_ids
+        assert 0 < last < n_c**2 < n_c**3 / 100
 
 
 class TestSectorCheck:

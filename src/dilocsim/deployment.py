@@ -98,12 +98,7 @@ class SensorField:
         return range(self.m + 2, self.n_nodes + 1)
 
     def _check_invariants(self):
-        verts = self.anchor_coords
-        edges = verts[1:] - verts[0]
-        vol = abs(np.linalg.det(edges)) / math.factorial(self.m)
-        diam = math.sqrt(self.sq_anchor_diameter())
-        if diam == 0.0 or vol / diam**self.m <= 1e-12:
-            raise DegenerateAnchorsError("anchors lie on a hyperplane")
+        _simplex_volume(self.anchor_coords, self.m)
         if self.n_sensors:
             w = self._anchor_barycentric(self._sensor_coords)
             if w.min() <= _INTERIOR_TOL:
@@ -150,11 +145,6 @@ class SensorField:
         pts = self._all_coords[rows]
         return DistanceMatrix.from_points(tuple(ids), pts)
 
-    def sq_anchor_diameter(self) -> float:
-        verts = self.anchor_coords
-        diff = verts[:, None, :] - verts[None, :, :]
-        return float(np.einsum("ijk,ijk->ij", diff, diff).max())
-
 
 @dataclass(frozen=True)
 class TriangulationSet:
@@ -182,18 +172,24 @@ def generate_poisson_field(m, gamma, anchor_simplex, seed) -> SensorField:
     anchors = np.asarray(anchor_simplex, dtype=float)
     if anchors.shape != (m + 1, m):
         raise DeploymentError(f"anchor simplex must be ({m + 1}, {m}), got {anchors.shape}")
-    edges = anchors[1:] - anchors[0]
-    volume = abs(np.linalg.det(edges)) / math.factorial(m)
-    diff = anchors[:, None, :] - anchors[None, :, :]
-    diam_sq = float(np.einsum("ijk,ijk->ij", diff, diff).max())
-    if diam_sq == 0.0 or volume / diam_sq ** (m / 2.0) <= 1e-12:
-        raise DegenerateAnchorsError("anchors lie on a hyperplane")
+    volume = _simplex_volume(anchors, m)
     rng = np.random.default_rng([_u64(seed), _FIELD_STREAM])
     count = int(rng.poisson(gamma * volume))
     spacings = rng.exponential(size=(count, m + 1))
     weights = spacings / spacings.sum(axis=1, keepdims=True)
     sensors = weights @ anchors
     return SensorField(m, anchors, sensors, density=gamma)
+
+
+def _simplex_volume(anchors: np.ndarray, m: int) -> float:
+    """Volume of the anchor simplex; DegenerateAnchorsError when it is flat
+    (volume at most 1e-12 of its diameter to the m-th power)."""
+    volume = abs(np.linalg.det(anchors[1:] - anchors[0])) / math.factorial(m)
+    diff = anchors[:, None, :] - anchors[None, :, :]
+    diam_sq = float(np.einsum("ijk,ijk->ij", diff, diff).max())
+    if diam_sq == 0.0 or volume / diam_sq ** (m / 2.0) <= 1e-12:
+        raise DegenerateAnchorsError("anchors lie on a hyperplane")
+    return volume
 
 
 def _u64(seed) -> int:
@@ -324,37 +320,65 @@ def _surrounds(coords: np.ndarray, verts: np.ndarray, s: np.ndarray, q: np.ndarr
     return low | high
 
 
-def _opposite_arcs(coords: np.ndarray, slack: float):
-    """Third-vertex search for planar edges, over one round's candidates.
+def _planar_round(coords: np.ndarray, slack: float):
+    """One planar round's angle sort: None when no triangle can surround l.
 
-    ``slack`` bounds the slack of every edge in the round. Returns
-    ``(arcs, by_angle)``: ``arcs(ei, ej, edge_slack)`` gives, per edge,
-    (wide, lo, count), and the candidates that may complete edge (ei, ej)
-    to a triangle surrounding l -- a superset of those passing
+    ``slack`` bounds the slack of every subset in the round. Candidate v has
+    angular slack A_v, sin(A_v) = 1.001 slack / (|v| r_min) + 1e-12 (r_min:
+    the nearest candidate; the factor absorbs rounding differences from the
+    prefilter's own products).
+
+    Skip: when the directions from l fit in a cone narrower than pi (l is
+    outside the candidates' hull), a triangle (a, b, c) in cone order passes
+    only if det(a, c) <= slack, or det(a, b) and det(b, c) both are. Such
+    near pairs lie within A_v of one direction or of its opposite, so a
+    window search on the sorted angles finds them, and the round is hopeless
+    when none has a candidate between its ends and no two are chained.
+
+    Otherwise returns ``(arcs, by_angle)``: ``arcs(ei, ej, edge_slack)``
+    gives, per edge, (wide, lo, count), and the candidates that may complete
+    edge (ei, ej) to a triangle surrounding l -- a superset of those passing
     ``_surrounds`` -- are by_angle[(lo + i) % n] for 0 <= i < count, or any
-    candidate at all where ``wide`` is set.
-
-    Orient each edge (a, b) counter-clockwise about l, with
-    det(a, b) > edge_slack and angle phi from a to b. A third vertex k then
-    passes only if det(b, k) >= -edge_slack and det(k, a) >= -edge_slack,
-    which puts its direction in the arc from angle(a) + pi - A_a to
-    angle(b) + pi + A_b, where sin(A_v) = slack / (|v| r_min) + 4 ulp bounds
-    the angular slack for any k (r_min: the nearest candidate). Edges where
-    that fails to hold -- det(a, b) within the slack, A_v undefined, or
-    phi <= A_a + A_b, where a second arc near a and b opens -- are wide.
-    Each arc end depends on one vertex, so the ends are placed in the angle
-    order once per round, not once per edge.
+    candidate where ``wide`` is set. With the edge (a, b) counter-clockwise
+    about l, det(a, b) > edge_slack and angle phi from a to b, a third vertex
+    k passes only if det(b, k) and det(k, a) are >= -edge_slack, which puts
+    its direction in the arc from angle(a) + pi - A_a to angle(b) + pi + A_b.
+    Edges where that fails to hold -- det(a, b) within the slack, A_v
+    undefined, or phi <= A_a + A_b, where a second arc opens -- are wide.
+    Each arc end depends on one vertex, so it is placed once per round.
     """
     n = coords.shape[0]
+    tol = 1.001 * slack
     theta = np.arctan2(coords[:, 1], coords[:, 0])
     by_angle = np.argsort(theta, kind="stable")
     th = theta[by_angle]
     th2 = np.concatenate([th, th + 2.0 * math.pi])
     r = np.hypot(coords[:, 0], coords[:, 1])
     with np.errstate(divide="ignore"):  # a candidate at l itself: every edge is wide
-        sin_v = slack / (r * r.min()) * (1.0 + 1e-9) + 4.0 * np.finfo(float).eps
+        sin_v = tol / (r * r.min()) + 1e-12
     wide_v = sin_v >= 1.0
     ang = np.arcsin(np.minimum(sin_v, 1.0)) + 1e-9
+    gaps = np.diff(th2[: n + 1])
+    g = int(np.argmax(gaps))
+    if math.isfinite(tol) and gaps[g] > math.pi + 1e-9:
+        # the cone in angle order, from the far side of its widest gap
+        pos = np.arange(n)
+        cone = th2[(g + 1) % n :][:n]
+        order = by_angle[(pos + g + 1) % n]
+        near_end = np.maximum(np.searchsorted(cone, cone + ang[order], side="right"), pos + 1)
+        far_start = np.maximum(np.searchsorted(cone, cone + math.pi - ang[order], side="left"), near_end)
+        counts = (near_end - pos - 1) + (n - far_start)
+        if counts.sum() <= 16 * n:
+            first = np.repeat(pos, counts)
+            k = np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            n_near = np.repeat(near_end - pos - 1, counts)
+            second = np.where(k < n_near, first + 1 + k, np.repeat(far_start, counts) + k - n_near)
+            a, b = coords[order[first]], coords[order[second]]
+            near = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] <= tol
+            chained = np.zeros(n + 1, dtype=bool)
+            chained[first[near]] = True
+            if not ((second[near] - first[near] >= 2).any() or (chained[:-1] & chained[1:]).any()):
+                return None
     begin = th[0] + np.mod(theta + math.pi - ang - th[0], 2.0 * math.pi)
     end = th[0] + np.mod(theta + math.pi + ang - th[0], 2.0 * math.pi)
     lo_v = np.searchsorted(th2, begin, side="left")
@@ -374,59 +398,6 @@ def _opposite_arcs(coords: np.ndarray, slack: float):
         return wide, lo, hi - lo
 
     return arcs, by_angle
-
-
-def _hopeless(coords: np.ndarray, slack: float) -> bool:
-    """True when no subset can pass the prefilter with this (or a smaller) slack.
-
-    m = 1: every candidate lies on one side of l beyond the slack. m = 2:
-    the directions from l fit in a cone narrower than pi (l is outside the
-    candidates' hull); in cone order a triangle (a, b, c) then passes only
-    if det(a, c) <= slack, or det(a, b) and det(b, c) both are. Such near
-    pairs satisfy sin(angle) <= slack / (|a| |c|), so they are found by a
-    window search on the sorted angles, and the round is hopeless when none
-    has a candidate between its ends and no two are chained. Other
-    dimensions are never skipped.
-    """
-    m = coords.shape[1]
-    slack *= 1.001  # absorbs rounding differences from the prefilter's own products
-    if m == 1:
-        x = coords[:, 0]
-        return bool((x > slack).all() or (x < -slack).all())
-    if m != 2 or not math.isfinite(slack):
-        return False
-    n = coords.shape[0]
-    theta = np.arctan2(coords[:, 1], coords[:, 0])
-    order = np.argsort(theta, kind="stable")
-    th = theta[order]
-    gaps = np.diff(np.append(th, th[0] + 2.0 * math.pi))
-    g = int(np.argmax(gaps))
-    if gaps[g] <= math.pi + 1e-9:
-        return False
-    order = np.roll(order, -(g + 1))
-    th = theta[order]
-    th = np.where(th < th[0], th + 2.0 * math.pi, th)
-    v = coords[order]
-    r = np.hypot(v[:, 0], v[:, 1])
-    with np.errstate(divide="ignore"):  # a candidate at l itself opens every window
-        window = np.arcsin(np.minimum(slack / (r * r.min()) + 1e-12, 1.0)) + 1e-9
-    pos = np.arange(n)
-    near_end = np.maximum(np.searchsorted(th, th + window, side="right"), pos + 1)
-    far_start = np.maximum(np.searchsorted(th, th + math.pi - window, side="left"), near_end)
-    counts = (near_end - pos - 1) + (n - far_start)
-    if counts.sum() > 16 * n:
-        return False
-    first = np.repeat(pos, counts)
-    k = np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    n_near = np.repeat(near_end - pos - 1, counts)
-    second = np.where(k < n_near, first + 1 + k, np.repeat(far_start, counts) + k - n_near)
-    det = v[first, 0] * v[second, 1] - v[first, 1] * v[second, 0]
-    near = det <= slack
-    if (second[near] - first[near] >= 2).any():
-        return False
-    chained = np.zeros(n + 1, dtype=bool)
-    chained[first[near]] = True
-    return not (chained[:-1] & chained[1:]).any()
 
 
 _PAIR_BUDGET = 1 << 19  # work items per batch of the set-up walk
@@ -514,8 +485,9 @@ class _Search:
         every other one failed in an earlier round, and only those whose
         directions from l surround it within the slack of ``_slack`` reach
         the kernel; the rest provably fail it. A round in which no subset
-        can surround l (``_hopeless``) is skipped whole. In the plane, third
-        vertices come from the arc opposite each edge (``_opposite_arcs``).
+        can surround l is skipped whole (m = 1 and 2). In the plane, one
+        angle sort (``_planar_round``) decides the skip and gives each
+        edge's third vertices, the arc opposite it.
         ``n_c`` may not shrink between calls.
         """
         m = self.m
@@ -526,10 +498,15 @@ class _Search:
         sq_reach = float(sq_to_l[-1])
         first, second, length = self._first, self._second, self._length
         round_slack = float(_slack(length[-1], sq_reach, m, frame_err))
-        if _hopeless(coords, round_slack):
-            return None
-        if m == 2:
-            arcs, by_angle = _opposite_arcs(coords, round_slack)
+        if m == 1:
+            x, tol = coords[:, 0], 1.001 * round_slack
+            if (x > tol).all() or (x < -tol).all():  # l lies beyond every candidate
+                return None
+        elif m == 2:
+            planar = _planar_round(coords, round_slack)
+            if planar is None:
+                return None
+            arcs, by_angle = planar
             dist = np.sqrt(sq_to_l)
         # batches double from 64 pairs, up to 2^16 planar edges (each batch
         # then cut at _PAIR_BUDGET third vertices) or about _PAIR_BUDGET mask
@@ -617,8 +594,8 @@ def triangulate_sensor(field: SensorField, l: int, r0=None, growth=1.25) -> Tria
         raise DeploymentError(f"node {l} is not a sensor")
     if r0 is None:
         r0 = _default_r0(field)
-    if r0 <= 0 or growth <= 1.0:
-        raise DeploymentError("need r0 > 0 and growth > 1")
+    if not (math.isfinite(r0) and r0 > 0 and math.isfinite(growth) and growth > 1.0):
+        raise DeploymentError("need finite r0 > 0 and finite growth > 1")
     search = _Search(field, l)
     radius, n_old = float(r0), 0
     while True:
@@ -738,6 +715,8 @@ def load_field(path) -> SensorField:
         density = None if header["density"] == "-" else float(header["density"])
     except (KeyError, ValueError, IndexError) as exc:
         raise FieldLoadError(f"malformed field header in {path}") from exc
+    if m < 1:
+        raise FieldLoadError(f"field dimension m must be at least 1, got {m} in {path}")
     anchors, sensors = [], []
     expected_id = 1
     for ln in lines[2:]:

@@ -72,8 +72,8 @@ def make_weight_schedule(family: str, param: float) -> WeightSchedule:
     if family not in SCHEDULE_FAMILIES:
         raise PersistenceViolationError(f"unknown schedule family {family!r}")
     if family == "harmonic":
-        if param <= 0:
-            raise PersistenceViolationError("harmonic scale must be positive")
+        if not 0.0 < param < np.inf:
+            raise PersistenceViolationError(f"harmonic scale must be positive and finite, got {param}")
     else:
         if not 0.5 < param <= 1.0:
             raise PersistenceViolationError(

@@ -386,6 +386,17 @@ class TestMainEntry:
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_RUNTIME
         assert "runtime error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m, records", [(0, "1\tanchor\n"), (-1, "")], ids=["zero", "negative"])
+    def test_nonpositive_field_dimension_exit_code(self, tmp_path, capsys, m, records):
+        bad_field = tmp_path / "bad.field"
+        bad_field.write_text(f"m\t{m}\ndensity\t-\n{records}")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            f"scenario = x\nfield.source = file\nfield.path = {bad_field}\nalgorithm = diloc\n"
+        )
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_RUNTIME
+        assert "runtime error" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "preset, key, value",
         [

@@ -1,6 +1,7 @@
 import math
 from importlib import resources
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dilocsim import geometry as geo
 from helpers import (
     FIFTY_NODE_ANCHORS,
     reference_first_inside_subset,
+    reference_hopeless,
     reference_triangulate_sensor,
     sq_dist_table,
 )
@@ -159,6 +161,11 @@ class TestSensorField:
         for l in range(1, 8):
             np.testing.assert_allclose(f.sq_distances_from(l), expected[l - 1], atol=0)
 
+    def test_collinear_anchors_rejected(self):
+        flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(dep.DegenerateAnchorsError):
+            dep.SensorField(2, flat, np.zeros((0, 2)))
+
     def test_outside_sensor_rejected(self):
         with pytest.raises(dep.DeploymentError):
             dep.SensorField(2, RIGHT_ANCHORS, np.array([[2.0, 2.0]]))
@@ -209,6 +216,14 @@ class TestTriangulation:
         )
         with pytest.raises(dep.DivergedError):
             dep.triangulate_sensor(f, 4, r0=0.5)
+
+    @pytest.mark.parametrize("key", ["r0", "growth"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_schedule_rejected(self, key, value):
+        # a nan radius or growth never reaches the stopping test, and an
+        # infinite one triangulates at radius inf
+        with pytest.raises(dep.DeploymentError):
+            dep.triangulate_sensor(dep.demo_network(), 4, **{key: value})
 
     def test_non_sensor_rejected(self):
         with pytest.raises(dep.DeploymentError):
@@ -313,6 +328,14 @@ def _near_degenerate_cases():
     normal = np.array([-0.1, 1.0]) / math.hypot(0.1, 1.0)
     for off in (1e-10, 0.0, -1e-10):
         yield np.vstack([tri, extra]), mid + off * normal
+    # the sensor outside the triangle alone, within, near and beyond the
+    # slack of edge (0, 1): the near pair across it has a vertex between
+    for off in (-1e-7, -1e-5, -1e-4):
+        yield tri, mid + off * normal
+    # directions 1.5e-5 apart, within the slack (2e-5) of the next one but
+    # not of the one after: two chained near pairs
+    fan = 1.5e-5 * np.arange(3)
+    yield np.vstack([np.column_stack([np.cos(fan), np.sin(fan)]), [0.0, 1.0]]), np.zeros(2)
     tet = TETRAHEDRON / 6.0
     face = tet[:3].mean(axis=0)
     for off in (1e-10, 0.0, -1e-10):
@@ -346,8 +369,22 @@ def _near_degenerate_cases():
     yield np.array([[1.0], [2.0], [-1.0], [1.0 + 1e-10]]), np.array([1e-10])
 
 
+def _search_skips(points, l_point):
+    """Whether set-up skips the round whose candidates are ``points``, its
+    sensor at ``l_point``: a skipped round walks no candidate pair."""
+    m = points.shape[1]
+    field = dep.SensorField(m, points[: m + 1], np.vstack([points[m + 1 :], l_point]), validate=False)
+    search = dep._Search(field, field.n_nodes)
+    with mock.patch.object(dep, "_tie_end", wraps=dep._tie_end) as walk:
+        search.first_inside(search.count(math.inf))
+    return not walk.called
+
+
 def _prefilter_verdicts(points, l_point):
     m = points.shape[1]
+    # candidates in the search's order (distance from l, ties by index), so
+    # that the search builds the same frame as this test
+    points = points[np.argsort(sq_dist_table(np.vstack([l_point, points]))[0, 1:], kind="stable")]
     sq = sq_dist_table(np.vstack([l_point, points]))
     sq_cand, sq_to_l = sq[1:, 1:], sq[0, 1:]
     n = len(points)
@@ -358,10 +395,13 @@ def _prefilter_verdicts(points, l_point):
     slack = dep._slack(diam, sq_to_l.max(), m, frame_err)
     rows = np.arange(len(combos))
     passed = dep._surrounds(coords, combos[:, :-1], rows, combos[:, -1], slack)
-    hopeless = dep._hopeless(coords, float(dep._slack(sq_cand.max(), sq_to_l.max(), m, frame_err)))
-    if m == 2:
+    round_slack = float(dep._slack(sq_cand.max(), sq_to_l.max(), m, frame_err))
+    hopeless = reference_hopeless(coords, round_slack)
+    if m < 3:
+        assert _search_skips(points, l_point) == hopeless
+    if m == 2 and not hopeless:
         # the planar walk draws third vertices from the arc opposite each edge
-        arcs, by_angle = dep._opposite_arcs(coords, float(slack.max()))
+        arcs, by_angle = dep._planar_round(coords, round_slack)
         rank = np.argsort(by_angle)
         for e0, e1, third in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
             wide, lo, count = arcs(combos[:, e0], combos[:, e1], slack)
@@ -479,6 +519,14 @@ class TestFieldFiles:
     def test_malformed_rejected(self, tmp_path):
         p = tmp_path / "bad.field"
         p.write_text("m\t2\ndensity\t-\n1\tanchor\t0\n")
+        with pytest.raises(dep.FieldLoadError):
+            dep.load_field(p)
+
+    @pytest.mark.parametrize("m, records", [(0, "1\tanchor\n"), (-1, "")], ids=["zero", "negative"])
+    def test_nonpositive_dimension_rejected(self, tmp_path, m, records):
+        # records that pass the per-line checks, so only m itself is wrong
+        p = tmp_path / "bad.field"
+        p.write_text(f"m\t{m}\ndensity\t-\n{records}")
         with pytest.raises(dep.FieldLoadError):
             dep.load_field(p)
 

@@ -49,6 +49,12 @@ class TestWeightSchedule:
         with pytest.raises(renv.PersistenceViolationError):
             renv.make_weight_schedule("harmonic", 0.0)
 
+    @pytest.mark.parametrize("param", [np.nan, np.inf])
+    def test_non_finite_harmonic_rejected(self, param):
+        # the gains would be nan or inf, and the first DLRE step would fail
+        with pytest.raises(renv.PersistenceViolationError):
+            renv.make_weight_schedule("harmonic", param)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(renv.PersistenceViolationError):
             renv.make_weight_schedule("constant", 0.5)

@@ -152,8 +152,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def _validate_semantics(v: dict):
     m = v["dimension"]
-    if m < 1:
-        raise ConfigInvalidError("dimension must be >= 1")
+    if not 1 <= m <= 3:
+        # set-up is measured in 1-3 dimensions; a 97-sensor 4-D field ran past 300 s
+        raise ConfigInvalidError("dimension must be 1, 2 or 3")
     if v["field.source"] == "poisson":
         if not v["field.gamma"] or v["field.gamma"] <= 0:
             raise ConfigInvalidError("poisson fields need field.gamma > 0")

@@ -21,7 +21,7 @@ from .geometry import (
     VOLUME_TOL,
     BarycentricWeights,
     DistanceMatrix,
-    barycentric_coordinates,
+    barycentric_coordinates,  # noqa: F401  (bench/meter.py wraps it in this module too)
     batch_strict_inclusion,
 )
 
@@ -167,8 +167,8 @@ def generate_poisson_field(m, gamma, anchor_simplex, seed) -> SensorField:
     Uniformity over the anchor simplex uses normalized exponential spacings,
     which is exact and rejection-free. Deterministic for a given seed.
     """
-    if gamma <= 0:
-        raise DeploymentError("deployment density must be positive")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise DeploymentError("deployment density must be finite and positive")
     anchors = np.asarray(anchor_simplex, dtype=float)
     if anchors.shape != (m + 1, m):
         raise DeploymentError(f"anchor simplex must be ({m + 1}, {m}), got {anchors.shape}")
@@ -415,22 +415,20 @@ class _Search:
     """The set-up search of sensor l, with what carries over between rounds.
 
     Candidates are the other nodes in order of distance from l (ties by
-    id), listed as the radius grows, so every round's candidates extend the
-    last round's: the distance row is read once, and the squared-distance
-    table and the list of candidate pairs sorted by length only grow.
-    Directions come from ``_local_frame``, so the search reads squared
-    distances only.
+    id), sorted once, so every round's candidates are a prefix of that
+    order and extend the last round's: the squared-distance table and the
+    list of candidate pairs sorted by length only grow. Directions come
+    from ``_local_frame``, so the search reads squared distances only.
     """
 
     def __init__(self, field: SensorField, l: int):
         self.m = field.m
-        self._coords = field._all_coords
-        self._row = field.sq_distances_from(l)
-        self._row[l - 1] = np.inf  # l is not its own candidate
-        self._sq_r = 0.0  # the candidates listed are those within this squared radius
-        self.ids = np.zeros(0, dtype=np.intp)
-        self.sq_to_l = np.zeros(0)
-        self._pts = np.zeros((0, self.m))
+        row = field.sq_distances_from(l)
+        row[l - 1] = np.inf  # l is not its own candidate: it sorts last
+        order = np.argsort(row, kind="stable")[:-1]
+        self.ids = order + 1
+        self.sq_to_l = row[order]
+        self._pts = field._all_coords[order]
         self._sq = np.zeros((0, 0))
         # every candidate pair (first < second), sorted by squared length
         self._length = np.zeros(0)
@@ -438,16 +436,7 @@ class _Search:
 
     def count(self, radius: float) -> int:
         """Number of candidates strictly within ``radius``."""
-        sq_r = radius * radius
-        if sq_r > self._sq_r:
-            # list the nodes the larger radius adds, in (distance, id) order
-            rows = np.flatnonzero((self._row < sq_r) & (self._row >= self._sq_r))
-            rows = rows[np.argsort(self._row[rows], kind="stable")]
-            self.ids = np.concatenate([self.ids, rows + 1])
-            self.sq_to_l = np.concatenate([self.sq_to_l, self._row[rows]])
-            self._pts = np.concatenate([self._pts, self._coords[rows]])
-            self._sq_r = sq_r
-        return int(np.searchsorted(self.sq_to_l, sq_r, side="left"))
+        return int(np.searchsorted(self.sq_to_l, radius * radius, side="left"))
 
     def _grow(self, n: int):
         """Extend the distance table and the sorted pair list to n candidates."""
@@ -474,7 +463,8 @@ class _Search:
         self._second = np.concatenate([self._second, second])[order]
 
     def first_inside(self, n_c: int, n_old: int = 0):
-        """First strictly containing (m+1)-subset of the first n_c candidates, or None.
+        """First strictly containing (m+1)-subset of the first n_c candidates
+        and l's barycentric weights in it, or None.
 
         Candidate subsets are ordered by (max pairwise distance, lexicographic
         ids): tight cells first, deterministic throughout. The walk is lazy:
@@ -487,7 +477,8 @@ class _Search:
         the kernel; the rest provably fail it. A round in which no subset
         can surround l is skipped whole (m = 1 and 2). In the plane, one
         angle sort (``_planar_round``) decides the skip and gives each
-        edge's third vertices, the arc opposite it.
+        edge's third vertices, the arc opposite it. The kernel pass that
+        accepts the subset also gives the weights, from the same volumes.
         ``n_c`` may not shrink between calls.
         """
         m = self.m
@@ -575,9 +566,9 @@ class _Search:
             distinct = np.ones(len(key), dtype=bool)
             distinct[1:] = (key[1:] != key[:-1]).any(axis=1)
             subsets, key = subsets[distinct], key[distinct]
-            hits = np.flatnonzero(batch_strict_inclusion(sq_cand, sq_to_l, subsets, m))
-            if hits.size:
-                return tuple(int(i) for i in key[hits[0]])
+            inside, weights = batch_strict_inclusion(sq_cand, sq_to_l, subsets, m)
+            if inside.any():
+                return tuple(int(i) for i in key[inside][0]), weights[0].copy()
         return None
 
 
@@ -600,11 +591,10 @@ def triangulate_sensor(field: SensorField, l: int, r0=None, growth=1.25) -> Tria
     radius, n_old = float(r0), 0
     while True:
         n_c = search.count(radius)
-        theta = search.first_inside(n_c, n_old) if n_c > max(n_old, field.m) else None
-        if theta is not None:
-            d = field.distance_submatrix((l,) + theta)
-            w = barycentric_coordinates(l, theta, d, field.m)
-            return TriangulationSet(l, radius, theta, w)
+        found = search.first_inside(n_c, n_old) if n_c > max(n_old, field.m) else None
+        if found is not None:
+            theta, w = found
+            return TriangulationSet(l, radius, theta, BarycentricWeights(l, theta, w))
         if n_c >= field.n_nodes - 1:
             raise DivergedError(
                 f"sensor {l} saw every node at radius {radius:.6g} and still "
@@ -656,24 +646,24 @@ def triangulation_probability_bound(gamma: float, r: float) -> float:
     Probability that each quadrant sector of the radius-r disk holds at least
     one Poisson(gamma) point: (1 - exp(-gamma pi r^2 / 4))^4.
     """
-    if gamma <= 0 or r <= 0:
-        raise DeploymentError("gamma and r must be positive")
+    if not all(math.isfinite(x) and x > 0 for x in (gamma, r)):
+        raise DeploymentError("gamma and r must be finite and positive")
     return (1.0 - math.exp(-gamma * math.pi * r * r / 4.0)) ** 4
 
 
 def min_radius_for_probability(gamma: float, eps: float) -> float:
     """Communication radius R guaranteeing triangulation probability >= eps."""
     _check_eps(eps)
-    if gamma <= 0:
-        raise DeploymentError("gamma must be positive")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise DeploymentError("gamma must be finite and positive")
     return 2.0 * math.sqrt(-4.0 * math.log(1.0 - eps**0.25) / (gamma * math.pi))
 
 
 def min_density_for_probability(R: float, eps: float) -> float:
     """Deployment density guaranteeing triangulation probability >= eps at R."""
     _check_eps(eps)
-    if R <= 0:
-        raise DeploymentError("R must be positive")
+    if not (math.isfinite(R) and R > 0):
+        raise DeploymentError("R must be finite and positive")
     return -4.0 * math.log(1.0 - eps**0.25) / (math.pi * (R / 2.0) ** 2)
 
 

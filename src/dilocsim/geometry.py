@@ -284,14 +284,18 @@ def barycentric_coordinates(l: int, theta, d: DistanceMatrix, m: int) -> Barycen
         raise OutsideHullError(
             f"node {l} lies outside the hull of {tuple(theta)}"
         )
+    return BarycentricWeights(l, tuple(theta), _volume_ratios(base, subs))
+
+
+def _volume_ratios(base, subs: np.ndarray) -> np.ndarray:
+    """Barycentric weights subs / base, renormalized to unit sum against rounding."""
     weights = subs / base
-    weights = weights / weights.sum()
-    return BarycentricWeights(l, tuple(theta), weights)
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def batch_strict_inclusion(
     sq_cand: np.ndarray, sq_to_l: np.ndarray, combos: np.ndarray, m: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Strict-interior flags of node l against many candidate (m+1)-subsets.
 
     sq_cand: (n, n) squared distances among candidate nodes.
@@ -300,11 +304,13 @@ def batch_strict_inclusion(
 
     Returns a boolean array of length K, True where l is strictly inside the
     subset's hull: the verdict INSIDE of convex_hull_inclusion, with subsets
-    it would reject as degenerate or not realizable counted as not inside.
+    it would reject as degenerate or not realizable counted as not inside;
+    and l's barycentric weights from the same volumes, one row per True flag
+    in order, the bytes barycentric_coordinates gives.
     """
     combos = np.asarray(combos)
     if combos.size == 0:
-        return np.zeros(0, dtype=bool)
+        return np.zeros(0, dtype=bool), np.zeros((0, m + 1))
     tl = sq_to_l[combos]
     tables = np.empty((combos.shape[0], m + 2, m + 2))
     tables[:, 0, 0] = 0.0
@@ -313,7 +319,6 @@ def batch_strict_inclusion(
     tables[:, 1:, 1:] = sq_cand[combos[:, :, None], combos[:, None, :]]
     # a flagged volume reads 0, which already fails the tests below
     base, subs, _ = _cm_volumes(tables)
-    ok_base = base > VOLUME_TOL
-    ok_sum = subs.sum(axis=1) <= base * (1.0 + HULL_REL_TOL)
-    ok_subs = subs.min(axis=1) > VOLUME_TOL
-    return ok_base & ok_sum & ok_subs
+    flags = (base > VOLUME_TOL) & (subs.min(axis=1) > VOLUME_TOL)
+    flags &= subs.sum(axis=1) <= base * (1.0 + HULL_REL_TOL)
+    return flags, _volume_ratios(base[flags, None], subs[flags])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 
 class SystemMatrixError(ValueError):
@@ -86,24 +86,17 @@ def build_system_matrices(field, tris) -> SystemMatrices:
     """Scatter every sensor's barycentric weights into the B and P blocks."""
     m = field.m
     M = field.n_sensors
-    rows_b, cols_b, vals_b = [], [], []
-    rows_p, cols_p, vals_p = [], [], []
-    for l in field.sensor_ids:
-        if l not in tris:
-            raise MissingTriangulationError(f"sensor {l} has no triangulation set")
-        t = tris[l]
-        row = l - (m + 2)
-        for k, w in zip(t.weights.neighbor_ids, t.weights.weights):
-            if k <= m + 1:
-                rows_b.append(row)
-                cols_b.append(k - 1)
-                vals_b.append(float(w))
-            else:
-                rows_p.append(row)
-                cols_p.append(k - (m + 2))
-                vals_p.append(float(w))
-    B = sp.csr_matrix((vals_b, (rows_b, cols_b)), shape=(M, m + 1))
-    P = sp.csr_matrix((vals_p, (rows_p, cols_p)), shape=(M, M))
+    missing = [l for l in field.sensor_ids if l not in tris]
+    if missing:
+        raise MissingTriangulationError(f"sensor {missing[0]} has no triangulation set")
+    sets = [tris[l].weights for l in field.sensor_ids]
+    ids = np.array([w.neighbor_ids for w in sets], dtype=np.intp).reshape(M, m + 1)
+    vals = np.array([w.weights for w in sets], dtype=float).reshape(M, m + 1)
+    rows = np.repeat(np.arange(M), m + 1).reshape(M, m + 1)
+    # neighbors 1..m+1 are anchors (columns of B), the rest sensors (columns of P)
+    anchor = ids <= m + 1
+    B = sp.csr_matrix((vals[anchor], (rows[anchor], ids[anchor] - 1)), shape=(M, m + 1))
+    P = sp.csr_matrix((vals[~anchor], (rows[~anchor], ids[~anchor] - (m + 2))), shape=(M, M))
     return SystemMatrices(B, P, m).validate()
 
 
@@ -210,11 +203,12 @@ def absorbing_check(sys: SystemMatrices) -> bool:
     M = sys.M
     if M == 0:
         return True
-    reach = np.asarray(np.diff(sys.B.indptr) > 0).ravel()
-    P_bool = sys.P.astype(bool)
-    while True:
-        grown = reach | np.asarray((P_bool @ reach)).ravel()
-        if np.array_equal(grown, reach):
-            break
-        reach = grown
-    return bool(reach.all())
+    P = sys.P.tocoo()
+    linked = P.data != 0
+    anchored = np.flatnonzero(np.diff(sys.B.indptr))
+    # links reversed, with node M standing for the anchors: l reaches them
+    # exactly when a search from M reaches l
+    src = np.concatenate([P.col[linked], np.full(anchored.size, M)])
+    dst = np.concatenate([P.row[linked], anchored])
+    graph = sp.csr_matrix((np.ones(src.size), (src, dst)), shape=(M + 1, M + 1))
+    return breadth_first_order(graph, M, return_predecessors=False).size == M + 1

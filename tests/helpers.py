@@ -166,7 +166,7 @@ def reference_first_inside_subset(field, l, radius):
     combos = np.array(list(combinations(range(n_c), m + 1)), dtype=np.intp)
     diam = sq_cand[combos[:, :, None], combos[:, None, :]].max(axis=(1, 2))
     combos = combos[np.argsort(diam, kind="stable")]
-    flags = batch_strict_inclusion(sq_cand, sq[cand_rows], combos, m)
+    flags, _ = batch_strict_inclusion(sq_cand, sq[cand_rows], combos, m)
     hits = np.flatnonzero(flags)
     if hits.size:
         return tuple(int(cand_rows[i]) + 1 for i in combos[hits[0]]), n_c

@@ -386,6 +386,21 @@ class TestMainEntry:
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_RUNTIME
         assert "runtime error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_dimension_above_three_rejected(self, tmp_path, capsys, command):
+        # set-up has no measured path past 3-D: a 4-D field of 97 sensors was
+        # still in set-up after 300 s, so the config is refused up front
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "scenario = x\ndimension = 4\nfield.source = poisson\nfield.gamma = 2.0\n"
+            "field.anchors = 0 0 0 0; 6 0 0 0; 0 6 0 0; 0 0 6 0; 0 0 0 6\nalgorithm = diloc\n"
+        )
+        out = tmp_path / "o"
+        args = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert cli.main(args) == cli.EXIT_CONFIG
+        assert "dimension must be 1, 2 or 3" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("m, records", [(0, "1\tanchor\n"), (-1, "")], ids=["zero", "negative"])
     def test_nonpositive_field_dimension_exit_code(self, tmp_path, capsys, m, records):
         bad_field = tmp_path / "bad.field"

@@ -82,8 +82,31 @@ class TestProbabilityFormulas:
         with pytest.raises(dep.DeploymentError):
             dep.triangulation_probability_bound(-1.0, 1.0)
 
+    # nan fails every comparison, and inf passes "> 0": both used to give nan
+    # (or R = 0 for an infinite density) instead of an error
+    @pytest.mark.parametrize("gamma, r", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_bound_rejects_non_finite(self, gamma, r):
+        with pytest.raises(dep.DeploymentError):
+            dep.triangulation_probability_bound(gamma, r)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_min_radius_rejects_non_finite(self, gamma):
+        with pytest.raises(dep.DeploymentError):
+            dep.min_radius_for_probability(gamma, 0.5)
+
+    @pytest.mark.parametrize("R", [math.nan, math.inf])
+    def test_min_density_rejects_non_finite(self, R):
+        with pytest.raises(dep.DeploymentError):
+            dep.min_density_for_probability(R, 0.5)
+
 
 class TestPoissonField:
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_intensity_rejected(self, gamma):
+        # numpy's Poisson draw raised a bare ValueError for these
+        with pytest.raises(dep.DeploymentError):
+            dep.generate_poisson_field(2, gamma, RIGHT_ANCHORS, seed=0)
+
     def test_zero_intensity_limit(self):
         f = dep.generate_poisson_field(2, 1e-12, RIGHT_ANCHORS, seed=3)
         assert f.n_sensors == 0
@@ -390,7 +413,7 @@ def _prefilter_verdicts(points, l_point):
     n = len(points)
     coords, frame_err = dep._local_frame(sq_cand, sq_to_l, m)
     combos = np.array(list(combinations(range(n), m + 1)))
-    accepted = geo.batch_strict_inclusion(sq_cand, sq_to_l, combos, m)
+    accepted, _ = geo.batch_strict_inclusion(sq_cand, sq_to_l, combos, m)
     diam = sq_cand[combos[:, :, None], combos[:, None, :]].max(axis=(1, 2))
     slack = dep._slack(diam, sq_to_l.max(), m, frame_err)
     rows = np.arange(len(combos))
@@ -435,6 +458,29 @@ class TestPrefilterConservative:
         pts = rng.random((9, 2)) + np.array([0.0, 1.0])
         assert _prefilter_verdicts(pts, np.array([0.5, 0.0]))[2]
         assert not _prefilter_verdicts(pts, pts.mean(axis=0))[2]
+
+
+class TestOnePassSetUp:
+    """Set-up takes each sensor's weights from the kernel pass that accepts
+    its set: no distance table is rebuilt and no volume is computed again."""
+
+    @pytest.mark.parametrize("name", ["demo", "spatial-0", "line"])
+    def test_no_second_volume_pass(self, name, monkeypatch):
+        field = EQUIVALENCE_FIELDS[name]()
+        calls = []
+
+        def forbidden(what):
+            return lambda *args, **kwargs: calls.append(what)
+
+        for holder in (dep, geo):
+            monkeypatch.setattr(holder, "barycentric_coordinates", forbidden("barycentric_coordinates"))
+        monkeypatch.setattr(dep.SensorField, "distance_submatrix", forbidden("distance_submatrix"))
+        tris = dep.triangulate_all(field)
+        assert calls == []
+        assert len(tris) == field.n_sensors
+        for l, t in tris.items():
+            assert t.weights.neighbor_ids == t.neighbor_ids and t.weights.sensor_id == l
+            assert t.weights.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPlanarWalkScaling:

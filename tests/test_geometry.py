@@ -325,7 +325,7 @@ class TestBatchInclusion:
         # a random point, and the candidates' centroid, which many subsets hold
         for p in (rng.random(m) * 0.8 + 0.1, cands.mean(axis=0)):
             sq_to_l = np.array([np.sum((c - p) ** 2) for c in cands])
-            flags = geo.batch_strict_inclusion(sq_cand, sq_to_l, combos, m)
+            flags, _ = geo.batch_strict_inclusion(sq_cand, sq_to_l, combos, m)
             d = dm(np.vstack([cands, p[None, :]]))
             located = 0
             for combo, flag in zip(combos, flags):
@@ -343,6 +343,23 @@ class TestBatchInclusion:
             assert located > len(combos) // 2
         assert flags.any() and not flags.all()
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_weights_of_accepted_subsets(self, m):
+        # the accepting pass gives, per flagged subset, the bytes that
+        # barycentric_coordinates gives on the same squared distances
+        from itertools import combinations
+
+        rng = np.random.default_rng(500 + m)
+        cands = rng.random((9, m))
+        p = cands.mean(axis=0)
+        sq = sq_dist_table(np.vstack([cands, p[None, :]]))
+        combos = np.array(list(combinations(range(9), m + 1)))
+        flags, weights = geo.batch_strict_inclusion(sq[:9, :9], sq[9, :9], combos, m)
+        assert flags.any() and weights.shape == (flags.sum(), m + 1)
+        d = geo.DistanceMatrix(tuple(range(10)), sq)
+        for combo, w in zip(combos[flags], weights):
+            assert w.tobytes() == geo.barycentric_coordinates(9, tuple(combo), d, m).weights.tobytes()
+
     def test_empty_combos(self):
-        out = geo.batch_strict_inclusion(np.zeros((0, 0)), np.zeros(0), np.zeros((0, 3), dtype=int), 2)
-        assert out.shape == (0,)
+        flags, weights = geo.batch_strict_inclusion(np.zeros((0, 0)), np.zeros(0), np.zeros((0, 3), dtype=int), 2)
+        assert flags.shape == (0,) and weights.shape == (0, 3)

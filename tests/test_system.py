@@ -257,6 +257,17 @@ class TestAbsorbing:
         sys = sysm.SystemMatrices(B, P, 2)
         assert sysm.absorbing_check(sys)
 
+    def test_closed_cycle_beside_an_absorbing_row(self):
+        # row 0 absorbs, rows 1 and 2 only feed each other; a stored zero
+        # from row 1 to row 0 is no link
+        B = sp.csr_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        P = sp.csr_matrix((np.array([0.0, 1.0, 1.0]), (np.array([1, 1, 2]), np.array([0, 2, 1]))), shape=(3, 3))
+        assert P.nnz == 3
+        assert not sysm.absorbing_check(sysm.SystemMatrices(B, P, 2))
+        P_linked = P.copy()
+        P_linked.data[0] = 0.5
+        assert sysm.absorbing_check(sysm.SystemMatrices(B, P_linked, 2))
+
 
 class TestDump:
     def test_dump_roundtrip(self, tmp_path):

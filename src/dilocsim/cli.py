@@ -160,11 +160,10 @@ def _validate_semantics(v: dict):
             raise ConfigInvalidError("poisson fields need field.gamma > 0")
         if not v["field.anchors"]:
             raise ConfigInvalidError("poisson fields need field.anchors")
-        anchors = _parse_anchors(v["field.anchors"], m)
-        if anchors.shape != (m + 1, m):
-            raise ConfigInvalidError(
-                f"field.anchors must list {m + 1} points of dimension {m}"
-            )
+        try:  # the deployment's own rule: m+1 points spanning a volume
+            dep._simplex_volume(_parse_anchors(v["field.anchors"], m), m)
+        except dep.DeploymentError as exc:
+            raise ConfigInvalidError(f"field.anchors: {exc}") from exc
         if v["field.path"] is not None:
             raise ConfigInvalidError("field.path is meaningless for poisson fields")
     elif v["field.source"] == "file":
@@ -345,8 +344,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None) -> d
     problems and lets runtime failures propagate for the CLI to map onto
     exit status 3.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     seed = cfg["seed"] if seed is None else int(seed)
     field = _build_field(cfg, seed)
     if field.n_sensors == 0:
@@ -448,6 +445,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None) -> d
     summary["per_sensor_messages"] = trace.per_sensor_messages
     summary["per_sensor_flops"] = trace.per_sensor_flops
     summary["messages_total"] = trace.messages_total()
+    # created only now, so a run that fails writes nothing
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     emit_trace(trace, out / "trace.tsv")
     emit_summary(summary, out / "summary.json")
     emit_plot_data(trace, out / "plot", sys_m.m)

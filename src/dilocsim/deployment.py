@@ -170,8 +170,6 @@ def generate_poisson_field(m, gamma, anchor_simplex, seed) -> SensorField:
     if not (math.isfinite(gamma) and gamma > 0):
         raise DeploymentError("deployment density must be finite and positive")
     anchors = np.asarray(anchor_simplex, dtype=float)
-    if anchors.shape != (m + 1, m):
-        raise DeploymentError(f"anchor simplex must be ({m + 1}, {m}), got {anchors.shape}")
     volume = _simplex_volume(anchors, m)
     rng = np.random.default_rng([_u64(seed), _FIELD_STREAM])
     count = int(rng.poisson(gamma * volume))
@@ -182,8 +180,11 @@ def generate_poisson_field(m, gamma, anchor_simplex, seed) -> SensorField:
 
 
 def _simplex_volume(anchors: np.ndarray, m: int) -> float:
-    """Volume of the anchor simplex; DegenerateAnchorsError when it is flat
-    (volume at most 1e-12 of its diameter to the m-th power)."""
+    """Volume of the anchor simplex; DeploymentError unless it has m+1 points
+    in dimension m, DegenerateAnchorsError when it is flat (volume at most
+    1e-12 of its diameter to the m-th power)."""
+    if anchors.shape != (m + 1, m):
+        raise DeploymentError(f"anchor simplex must be ({m + 1}, {m}), got {anchors.shape}")
     volume = abs(np.linalg.det(anchors[1:] - anchors[0])) / math.factorial(m)
     diff = anchors[:, None, :] - anchors[None, :, :]
     diam_sq = float(np.einsum("ijk,ijk->ij", diff, diff).max())
@@ -414,8 +415,9 @@ def _tie_end(length: np.ndarray, i: int) -> int:
 class _Search:
     """The set-up search of sensor l, with what carries over between rounds.
 
-    Candidates are the other nodes in order of distance from l (ties by
-    id), sorted once, so every round's candidates are a prefix of that
+    Candidates are the other nodes in order of distance from l, sorted once
+    (ties in any order: they fall in the same round, and the search is keyed
+    by ids and values), so every round's candidates are a prefix of that
     order and extend the last round's: the squared-distance table and the
     list of candidate pairs sorted by length only grow. Directions come
     from ``_local_frame``, so the search reads squared distances only.
@@ -425,7 +427,7 @@ class _Search:
         self.m = field.m
         row = field.sq_distances_from(l)
         row[l - 1] = np.inf  # l is not its own candidate: it sorts last
-        order = np.argsort(row, kind="stable")[:-1]
+        order = np.argsort(row)[:-1]
         self.ids = order + 1
         self.sq_to_l = row[order]
         self._pts = field._all_coords[order]

@@ -9,8 +9,10 @@ rows could be computed in parallel against the immutable previous state.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +46,6 @@ class IterationState:
 
     C: np.ndarray
     t: int = 0
-    alpha: float = 1.0
 
     @property
     def m(self) -> int:
@@ -59,32 +60,43 @@ class IterationState:
         return self.C[self.m + 1 :]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunTrace:
     """Per-iteration record of one run plus protocol cost accounting.
 
     ``step_norms[k]`` is the max-norm state change of iteration k+1;
     ``oracle_errors`` holds max-norm distances to the reference positions and
     exists only when ground truth was supplied. Snapshots keep (iteration,
-    sensor-state copy) pairs at multiples of the stride, plus the final state
+    sensor state) pairs at multiples of the stride, plus the final state
     whatever the stride.
     """
 
     mode: str
     seed: int | None
-    per_sensor_messages: int
-    per_sensor_flops: int
     n_sensors: int
-    step_norms: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    alphas: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    oracle_errors: np.ndarray | None = None
-    snapshots: list = field(default_factory=list)
-    converged_at: int | None = None
-    final_state: np.ndarray | None = None
+    m: int
+    step_norms: np.ndarray
+    alphas: np.ndarray
+    oracle_errors: np.ndarray | None
+    snapshots: list
+    converged_at: int | None
 
     @property
     def iterations(self) -> int:
         return len(self.step_norms)
+
+    @property
+    def final_state(self) -> np.ndarray:
+        return self.snapshots[-1][1]
+
+    @property
+    def per_sensor_messages(self) -> int:
+        return self.m + 1
+
+    @property
+    def per_sensor_flops(self) -> int:
+        # m+1 multiplies and m adds, plus two blend operations under relaxation
+        return 2 * self.m + 1 if self.mode == "diloc" else 2 * self.m + 3
 
     def messages_total(self, upto: int | None = None) -> int:
         t = self.iterations if upto is None else upto
@@ -119,13 +131,11 @@ def state_from_guess(anchors: AnchorBlock, X0) -> IterationState:
     return IterationState(np.vstack([np.asarray(anchors.U, dtype=float), X0]), t=0)
 
 
-def _check_dims(state: IterationState, sys: SystemMatrices, anchors: AnchorBlock):
-    if state.m != sys.m or state.X.shape[0] != sys.M:
-        raise DimensionMismatchError(
-            f"state holds {state.X.shape[0]} sensors in dimension {state.m}, "
-            f"system expects {sys.M} in dimension {sys.m}"
-        )
-    if np.asarray(anchors.U).shape != (sys.m + 1, sys.m):
+def _check_dims(x, sys: SystemMatrices, anchors: AnchorBlock):
+    """Reject sensor rows or an anchor block that do not fit the system."""
+    if np.shape(x) != (sys.M, sys.m):
+        raise DimensionMismatchError(f"sensor rows have shape {np.shape(x)}, system expects ({sys.M}, {sys.m})")
+    if np.shape(anchors.U) != (sys.m + 1, sys.m):
         raise DimensionMismatchError("anchor block shape does not match the system")
 
 
@@ -148,20 +158,14 @@ def diloc_rel_step(
     alpha = 1 reduces to the plain update and reproduces it bit for bit.
     """
     _check_alpha(alpha)
-    _check_dims(state, sys, anchors)
+    _check_dims(state.X, sys, anchors)
     new_x = _relaxed(state.X, sys, sys.B @ np.asarray(anchors.U, dtype=float), alpha)
-    return IterationState(np.vstack([state.U, new_x]), t=state.t + 1, alpha=alpha)
+    return IterationState(np.vstack([state.U, new_x]), t=state.t + 1)
 
 
 def _check_alpha(alpha: float):
     if not 0.0 < alpha <= 1.0:
         raise InvalidAlphaError(f"relaxation parameter must lie in (0, 1], got {alpha}")
-
-
-def flops_per_sensor(mode: str, m: int) -> int:
-    """Arithmetic per sensor per iteration: m+1 multiplies and m adds, plus
-    two blend operations when relaxation is active."""
-    return 2 * m + 1 if mode == "diloc" else 2 * m + 3
 
 
 def run_to_convergence(
@@ -184,36 +188,32 @@ def run_to_convergence(
     """
     if mode not in MODES:
         raise EngineError(f"mode must be one of {MODES}, got {mode!r}")
-    if step_tol < 0:
-        raise EngineError("step_tol must be nonnegative")
-    _check_dims(initial, sys, anchors)
     gain = 1.0 if mode == "diloc" else alpha
     _check_alpha(gain)
-    BU = sys.B @ np.asarray(anchors.U, dtype=float)  # constant over the run
-    trace = RunTrace(
-        mode=mode,
-        seed=seed,
-        per_sensor_messages=sys.m + 1,
-        per_sensor_flops=flops_per_sensor(mode, sys.m),
-        n_sensors=sys.M,
-    )
+    # the constant anchor term B U, formed at the first step: after the loop's checks
+    BU = functools.cache(lambda: sys.B @ np.asarray(anchors.U, dtype=float))
     return _trace_loop(
-        trace, initial.X, lambda _, x: (_relaxed(x, sys, BU, gain), gain),
+        mode, seed, initial, sys, anchors, lambda _, x: (_relaxed(x, sys, BU(), gain), gain),
         max_iters, step_tol, snapshot_stride, oracle, start=initial.t,
     )
 
 
-def _trace_loop(trace, x, step, max_iters, step_tol, snapshot_stride, oracle, start=0) -> RunTrace:
-    """The iteration loop of every mode, filling ``trace`` in place.
+def _trace_loop(mode, seed, initial, sys, anchors, step, max_iters, step_tol, snapshot_stride, oracle, start):
+    """The driver of every mode: checks the inputs, iterates, builds the RunTrace.
 
-    ``step(k, x)`` returns the state after the k-th step (from 0) and that
-    step's gain. Iterations are numbered from ``start``; the loop stops once
-    a step norm falls below ``step_tol`` and raises NonFiniteStateError at
-    the first non-finite one.
+    ``step(k, x)`` returns the state after the k-th step (from 0) as a new
+    array, never writing into ``x``, and that step's gain. Iterations are
+    numbered from ``start``; the loop stops once a step norm falls below
+    ``step_tol`` and raises NonFiniteStateError at the first non-finite one.
     """
-    step_norms, gains, oracle_errors = [], [], []
-    x = x.copy()
-    t = start
+    x = initial.X
+    _check_dims(x, sys, anchors)
+    if step_tol < 0:
+        raise EngineError("step_tol must be nonnegative")
+    # array('d') keeps 8 bytes per entry; a list of Python floats about 32
+    step_norms, gains = array("d"), array("d")
+    oracle_errors = None if oracle is None else array("d")
+    snapshots, converged_at, t = [], None, start
     for k in range(int(max_iters)):
         new, gain = step(k, x)
         t = start + k + 1
@@ -222,18 +222,17 @@ def _trace_loop(trace, x, step, max_iters, step_tol, snapshot_stride, oracle, st
             raise NonFiniteStateError(f"step {t} left a non-finite sensor state")
         step_norms.append(norm)
         gains.append(gain)
-        if oracle is not None:
+        if oracle_errors is not None:
             oracle_errors.append(float(np.abs(new - oracle).max()) if len(x) else 0.0)
         x = new
         if snapshot_stride and t % snapshot_stride == 0:
-            trace.snapshots.append((t, x.copy()))
+            snapshots.append((t, x))
         if norm < step_tol:
-            trace.converged_at = t
+            converged_at = t
             break
-    if not trace.snapshots or trace.snapshots[-1][0] != t:
-        trace.snapshots.append((t, x.copy()))
-    trace.step_norms = np.array(step_norms)
-    trace.alphas = np.array(gains)
-    trace.oracle_errors = np.array(oracle_errors) if oracle is not None else None
-    trace.final_state = x
-    return trace
+    if not snapshots or snapshots[-1][0] != t:
+        snapshots.append((t, x))
+    return RunTrace(
+        mode, seed, sys.M, sys.m, np.frombuffer(step_norms), np.frombuffer(gains),
+        None if oracle_errors is None else np.frombuffer(oracle_errors), snapshots, converged_at,
+    )

@@ -17,13 +17,14 @@ any step can be recomputed independently and reproducibly from its block.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .deployment import _u64
-from .engine import IterationState, NonFiniteStateError, RunTrace, _trace_loop, flops_per_sensor
+from .engine import IterationState, NonFiniteStateError, RunTrace, _check_dims, _trace_loop
 from .system import (
     AnchorBlock,
     SingularSystemError,
@@ -276,6 +277,7 @@ def dlre_step(
     relaxed deterministic update exactly.
     """
     links = _layout(model, sys)
+    _check_dims(x, sys, anchors)
     U = np.asarray(anchors.U, dtype=float)
     block, k = divmod(t, _BLOCK)
     terms = _block_terms(model, links, U, x.shape, block, draw)
@@ -301,25 +303,20 @@ def run_dlre(
     """
     links = _layout(model, sys)
     U = np.asarray(anchors.U, dtype=float)
-    terms = None
+    # the loop counts t up from 0, so each block is drawn once, at its first step
+    terms = functools.lru_cache(maxsize=1)(
+        lambda block: _block_terms(model, links, U, (sys.M, sys.m), block, 0)
+    )
 
     def step(t, x):
-        # the loop counts t up from 0, so a block is drawn at its first step
-        nonlocal terms
         block, k = divmod(t, _BLOCK)
-        if k == 0:
-            terms = _block_terms(model, links, U, x.shape, block, 0)
         alpha = float(schedule(t))
-        return _step(x, links[1], terms, k, alpha), alpha
+        return _step(x, links[1], terms(block), k, alpha), alpha
 
-    trace = RunTrace(
-        mode="dlre",
-        seed=model.seed if seed is None else seed,
-        per_sensor_messages=sys.m + 1,
-        per_sensor_flops=flops_per_sensor("dlre", sys.m),
-        n_sensors=sys.M,
+    return _trace_loop(
+        "dlre", model.seed if seed is None else seed, initial, sys, anchors, step,
+        max_iters, step_tol, snapshot_stride, oracle, start=0,
     )
-    return _trace_loop(trace, initial.X, step, max_iters, step_tol, snapshot_stride, oracle)
 
 
 def dlre_limit(sys: SystemMatrices, anchors: AnchorBlock, model: NoiseModel) -> DlreLimit:

@@ -316,3 +316,18 @@ def estimated_blocks(sample, sys):
         sp.csr_matrix((data, block.indices, block.indptr), shape=block.shape)
         for data, block in ((sample.b_hat_data, sys.B), (sample.p_hat_data, sys.P))
     )
+
+
+MIS_SHAPED = ("extra-row", "missing-row", "anchor-rows")
+
+
+def mis_shaped(sys, anchors, case):
+    """An (initial state, anchor block) pair that does not fit the system:
+    one sensor row too many or too few, or an anchor block with an extra row."""
+    from dilocsim.engine import state_from_guess
+    from dilocsim.system import AnchorBlock
+
+    U = np.asarray(anchors.U)
+    rows = {"extra-row": sys.M + 1, "missing-row": sys.M - 1}.get(case, sys.M)
+    block = AnchorBlock(np.vstack([U, U[:1]])) if case == "anchor-rows" else anchors
+    return state_from_guess(anchors, np.zeros((rows, sys.m))), block

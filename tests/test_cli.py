@@ -385,6 +385,7 @@ class TestMainEntry:
         )
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_RUNTIME
         assert "runtime error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_dimension_above_three_rejected(self, tmp_path, capsys, command):
@@ -401,6 +402,38 @@ class TestMainEntry:
         assert "dimension must be 1, 2 or 3" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "anchors, message",
+        [("0 0; 1 0; 2 0", "hyperplane"), ("0 0; 1 0", "must be (3, 2)")],
+        ids=["collinear", "too-few"],
+    )
+    def test_bad_anchor_simplex_rejected(self, tmp_path, capsys, command, anchors, message):
+        # the deployment's own rule, applied before any output: before, validate
+        # said "config OK" for collinear anchors and run exited 3 leaving an
+        # empty output directory
+        text = cli.materialize_preset("deterministic-poisson").replace(
+            "field.anchors = 0 0; 10.42 0; 5.21 9.024", f"field.anchors = {anchors}"
+        )
+        assert f"field.anchors = {anchors}\n" in text
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        args = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
+        assert cli.main(args) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_field_dimension_mismatch_writes_nothing(self, tmp_path, capsys):
+        # found only once the field file is read, still before any output
+        text = cli.materialize_preset("deterministic-fixture").replace("dimension = 2", "dimension = 3")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "does not match field file dimension" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("m, records", [(0, "1\tanchor\n"), (-1, "")], ids=["zero", "negative"])
     def test_nonpositive_field_dimension_exit_code(self, tmp_path, capsys, m, records):
         bad_field = tmp_path / "bad.field"
@@ -411,6 +444,7 @@ class TestMainEntry:
         )
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_RUNTIME
         assert "runtime error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "preset, key, value",

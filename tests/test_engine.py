@@ -6,6 +6,7 @@ import pytest
 from dilocsim import deployment as dep
 from dilocsim import engine as eng
 from dilocsim import system as sysm
+from helpers import MIS_SHAPED, mis_shaped
 
 
 def demo_setup():
@@ -72,6 +73,30 @@ class TestSteps:
         bad = eng.state_from_guess(anchors, np.zeros((sys.M + 1, sys.m)))
         with pytest.raises(eng.DimensionMismatchError):
             eng.diloc_step(bad, sys, anchors)
+
+
+class TestInputChecks:
+    """Both drivers and both deterministic steps share one shape check."""
+
+    @pytest.mark.parametrize("case", MIS_SHAPED)
+    @pytest.mark.parametrize("mode", eng.MODES)
+    def test_run_rejects_mis_shaped_inputs(self, case, mode):
+        _, sys, anchors, _ = demo_setup()
+        state, block = mis_shaped(sys, anchors, case)
+        with pytest.raises(eng.DimensionMismatchError):
+            eng.run_to_convergence(state, sys, block, mode=mode, alpha=0.5, max_iters=5)
+
+    @pytest.mark.parametrize("case", MIS_SHAPED)
+    def test_relaxed_step_rejects_mis_shaped_inputs(self, case):
+        _, sys, anchors, _ = demo_setup()
+        state, block = mis_shaped(sys, anchors, case)
+        with pytest.raises(eng.DimensionMismatchError):
+            eng.diloc_rel_step(state, sys, block, 0.5)
+
+    def test_negative_step_tol_rejected(self):
+        _, sys, anchors, _ = demo_setup()
+        with pytest.raises(eng.EngineError, match="step_tol"):
+            eng.run_to_convergence(eng.initial_state(anchors, sys.M), sys, anchors, step_tol=-1e-12)
 
 
 class TestRelaxation:
@@ -142,6 +167,14 @@ class TestRunToConvergence:
         assert trace.per_sensor_messages == sys.m + 1
         assert trace.per_sensor_flops == 2 * sys.m + 1
         assert trace.messages_total() == (sys.m + 1) * sys.M * trace.iterations
+
+    def test_relaxed_counters(self):
+        # the blend adds two operations per sensor: 2m+3
+        _, sys, anchors, _ = demo_setup()
+        state = eng.initial_state(anchors, sys.M, seed=2)
+        trace = eng.run_to_convergence(state, sys, anchors, mode="diloc_rel", alpha=0.5, max_iters=20)
+        assert trace.per_sensor_messages == sys.m + 1
+        assert trace.per_sensor_flops == 2 * sys.m + 3 == 7
 
     def test_outside_hull_start_converges(self):
         _, sys, anchors, xstar = demo_setup()

@@ -7,7 +7,7 @@ from dilocsim import deployment as dep
 from dilocsim import engine as eng
 from dilocsim import random_env as renv
 from dilocsim import system as sysm
-from helpers import effective_biases, estimated_blocks, synthetic_chain
+from helpers import MIS_SHAPED, effective_biases, estimated_blocks, mis_shaped, synthetic_chain
 
 
 def demo_setup():
@@ -373,9 +373,48 @@ class TestDlreRun:
         )
         assert trace.iterations == 50
         assert trace.per_sensor_messages == sys.m + 1
+        assert trace.per_sensor_flops == 2 * sys.m + 3 == 7
         assert trace.alphas[0] == 1.0
         assert trace.alphas[3] == 0.25
         assert [t for t, _ in trace.snapshots] == [10, 20, 30, 40, 50]
+
+    def test_final_state_is_last_snapshot(self):
+        _, _, sys, anchors = demo_setup()
+        trace = renv.run_dlre(
+            eng.initial_state(anchors, sys.M, seed=1), sys, anchors, renv.NoiseModel(link_prob=0.9, seed=1),
+            renv.make_weight_schedule("harmonic", 1.0), max_iters=23, snapshot_stride=10,
+        )
+        assert [t for t, _ in trace.snapshots] == [10, 20, 23]
+        assert trace.final_state is trace.snapshots[-1][1]
+        assert trace.final_state.shape == (sys.M, sys.m)
+
+    @pytest.mark.parametrize("case", MIS_SHAPED)
+    def test_run_rejects_mis_shaped_inputs(self, case):
+        # the DILOC driver's shape check: before it, one extra row decayed to
+        # 0 and one missing row ended in a bare numpy reshape error
+        _, _, sys, anchors = demo_setup()
+        state, block = mis_shaped(sys, anchors, case)
+        with pytest.raises(eng.DimensionMismatchError):
+            renv.run_dlre(
+                state, sys, block, renv.NoiseModel(link_prob=0.9, seed=1), lambda t: 0.5, max_iters=5
+            )
+
+    @pytest.mark.parametrize("case", MIS_SHAPED)
+    def test_step_rejects_mis_shaped_inputs(self, case):
+        _, _, sys, anchors = demo_setup()
+        state, block = mis_shaped(sys, anchors, case)
+        with pytest.raises(eng.DimensionMismatchError):
+            renv.dlre_step(
+                state.X, sys, block, renv.NoiseModel(link_prob=0.9, seed=1), lambda t: 0.5, t=0
+            )
+
+    def test_negative_step_tol_rejected(self):
+        _, _, sys, anchors = demo_setup()
+        with pytest.raises(eng.EngineError, match="step_tol"):
+            renv.run_dlre(
+                eng.initial_state(anchors, sys.M), sys, anchors, renv.NoiseModel(seed=1),
+                lambda t: 0.5, max_iters=5, step_tol=-1e-12,
+            )
 
     def test_quiet_constant_gain_run_is_relaxed_run(self):
         # both runs share one loop: a noise-free DLRE run with a constant

@@ -290,11 +290,12 @@ def materialize_preset(name: str) -> str:
 
 
 def emit_trace(trace: eng.RunTrace, path):
-    """Tab-separated per-iteration rows; header always, rows per iteration."""
+    """Tab-separated rows, one per iteration numbered as the snapshots are; header always."""
     lines = ["iteration\tstep_norm\toracle_error\tmessages_total\talpha_t"]
+    first = trace.snapshots[-1][0] - trace.iterations + 1
     for i in range(trace.iterations):
         lines.append(
-            f"{i + 1}\t{trace.step_norms[i]:.17g}\t{trace.oracle_errors[i]:.17g}"
+            f"{first + i}\t{trace.step_norms[i]:.17g}\t{trace.oracle_errors[i]:.17g}"
             f"\t{trace.messages_total(i + 1)}\t{trace.alphas[i]:.17g}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -413,14 +413,14 @@ def _tie_end(length: np.ndarray, i: int) -> int:
 
 
 class _Search:
-    """The set-up search of sensor l, with what carries over between rounds.
+    """The set-up search of sensor l.
 
     Candidates are the other nodes in order of distance from l, sorted once
     (ties in any order: they fall in the same round, and the search is keyed
     by ids and values), so every round's candidates are a prefix of that
-    order and extend the last round's: the squared-distance table and the
-    list of candidate pairs sorted by length only grow. Directions come
-    from ``_local_frame``, so the search reads squared distances only.
+    order. Nothing else carries over: each round builds its own distance
+    table and pair order from that prefix. Directions come from
+    ``_local_frame``, so the search reads squared distances only.
     """
 
     def __init__(self, field: SensorField, l: int):
@@ -431,38 +431,10 @@ class _Search:
         self.ids = order + 1
         self.sq_to_l = row[order]
         self._pts = field._all_coords[order]
-        self._sq = np.zeros((0, 0))
-        # every candidate pair (first < second), sorted by squared length
-        self._length = np.zeros(0)
-        self._first = self._second = np.zeros(0, dtype=np.intp)
 
     def count(self, radius: float) -> int:
         """Number of candidates strictly within ``radius``."""
         return int(np.searchsorted(self.sq_to_l, radius * radius, side="left"))
-
-    def _grow(self, n: int):
-        """Extend the distance table and the sorted pair list to n candidates."""
-        old = self._sq.shape[0]
-        pts = self._pts[:n]
-        diffs = pts[old:, None, :] - pts[None, :, :]
-        rows = np.einsum("ijk,ijk->ij", diffs, diffs)
-        sq = np.empty((n, n))
-        sq[:old, :old] = self._sq
-        sq[old:] = rows
-        sq[:old, old:] = rows[:, :old].T
-        self._sq = sq
-        # the new pairs (first < second, second new), sorted by length
-        second, first = np.nonzero(np.arange(n)[None, :] < np.arange(old, n)[:, None])
-        length = rows[second, first]
-        by_length = np.argsort(length)
-        first, second = first[by_length], second[by_length] + old
-        # two sorted runs, so this stable sort is a merge; the walk batches
-        # equal lengths together, so the order among them does not matter
-        length = np.concatenate([self._length, length[by_length]])
-        order = np.argsort(length, kind="stable")
-        self._length = length[order]
-        self._first = np.concatenate([self._first, first])[order]
-        self._second = np.concatenate([self._second, second])[order]
 
     def first_inside(self, n_c: int, n_old: int = 0):
         """First strictly containing (m+1)-subset of the first n_c candidates
@@ -481,16 +453,22 @@ class _Search:
         angle sort (``_planar_round``) decides the skip and gives each
         edge's third vertices, the arc opposite it. The kernel pass that
         accepts the subset also gives the weights, from the same volumes.
-        ``n_c`` may not shrink between calls.
+
+        Each call builds its own n_c x n_c squared-distance table and, unless
+        the round is skipped, sorts the n_c (n_c - 1) / 2 candidate pairs by
+        length (ties in any order): it holds 8 n_c^2 + 24 n_c^2 / 2 bytes,
+        and 8 n_c^2 + 56 n_c^2 / 2 while sorting, known before it allocates.
         """
-        m = self.m
-        if n_c > self._sq.shape[0]:
-            self._grow(n_c)
-        sq_cand, sq_to_l = self._sq, self.sq_to_l[:n_c]
+        m, pts, sq_to_l = self.m, self._pts[:n_c], self.sq_to_l[:n_c]
+        diffs = np.empty((n_c, n_c, m))
+        for k in range(m):  # a coordinate at a time: broadcasting over a short last axis is slow
+            np.subtract.outer(pts[:, k], pts[:, k], out=diffs[:, :, k])
+        # einsum's own order of addition: a plain sum of squares rounds some 3-D entries differently
+        sq_cand = np.einsum("ijk,ijk->ij", diffs, diffs)
+        del diffs
         coords, frame_err = _local_frame(sq_cand, sq_to_l, m)
         sq_reach = float(sq_to_l[-1])
-        first, second, length = self._first, self._second, self._length
-        round_slack = float(_slack(length[-1], sq_reach, m, frame_err))
+        round_slack = float(_slack(sq_cand.max(), sq_reach, m, frame_err))
         if m == 1:
             x, tol = coords[:, 0], 1.001 * round_slack
             if (x > tol).all() or (x < -tol).all():  # l lies beyond every candidate
@@ -501,6 +479,11 @@ class _Search:
                 return None
             arcs, by_angle = planar
             dist = np.sqrt(sq_to_l)
+        first, second = np.triu_indices(n_c, 1)
+        length = sq_cand[first, second]
+        by_length = np.argsort(length)
+        first, second, length = first[by_length], second[by_length], length[by_length]
+        del by_length
         # batches double from 64 pairs, up to 2^16 planar edges (each batch
         # then cut at _PAIR_BUDGET third vertices) or about _PAIR_BUDGET mask
         # entries

@@ -208,6 +208,8 @@ def _trace_loop(mode, seed, initial, sys, anchors, step, max_iters, step_tol, sn
     """
     x = initial.X
     _check_dims(x, sys, anchors)
+    if oracle is not None and np.shape(oracle) != (sys.M, sys.m):
+        raise DimensionMismatchError(f"oracle has shape {np.shape(oracle)}, system expects ({sys.M}, {sys.m})")
     if step_tol < 0:
         raise EngineError("step_tol must be nonnegative")
     # array('d') keeps 8 bytes per entry; a list of Python floats about 32

@@ -331,3 +331,12 @@ def mis_shaped(sys, anchors, case):
     rows = {"extra-row": sys.M + 1, "missing-row": sys.M - 1}.get(case, sys.M)
     block = AnchorBlock(np.vstack([U, U[:1]])) if case == "anchor-rows" else anchors
     return state_from_guess(anchors, np.zeros((rows, sys.m))), block
+
+
+MIS_SHAPED_ORACLE = ("one-row", "missing-row", "extra-row")
+
+
+def mis_shaped_oracle(xstar, case):
+    """Reference positions that do not fit the system: a single row (which
+    would broadcast against every sensor), one row too few or one too many."""
+    return {"one-row": xstar[0], "missing-row": xstar[:-1], "extra-row": np.vstack([xstar, xstar[:1]])}[case]

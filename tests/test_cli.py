@@ -185,6 +185,22 @@ class TestRunExperiment:
                 terminal = float(lines[-1].split("\t")[1])
                 assert terminal == trace.final_state[row, j]  # 17 digits round-trip
 
+    def test_trace_rows_numbered_as_the_run(self, tmp_path):
+        # a run resumed from t = 5: trace.tsv used to number its rows 1-12
+        field = dep.demo_network()
+        sys_m = sysm.build_system_matrices(field, dep.triangulate_all(field))
+        anchors = sysm.AnchorBlock(field.anchor_block())
+        start = eng.IterationState(eng.initial_state(anchors, sys_m.M, seed=1).C, t=5)
+        trace = eng.run_to_convergence(
+            start, sys_m, anchors, step_tol=0.0, max_iters=12, snapshot_stride=5,
+            oracle=sysm.exact_locations_oracle(sys_m, anchors),
+        )
+        assert [t for t, _ in trace.snapshots] == [10, 15, 17]
+        cli.emit_trace(trace, tmp_path / "trace.tsv")
+        rows = [line.split("\t") for line in (tmp_path / "trace.tsv").read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(6, 18))
+        assert [int(r[3]) for r in rows] == [trace.messages_total(k) for k in range(1, 13)]
+
     def test_large_stride_single_snapshot(self, tmp_path):
         cfg = minimal_cfg(tmp_path, snapshot_stride=10**6)
         out = tmp_path / "out"
@@ -320,6 +336,45 @@ class TestRunExperiment:
         assert "did not converge" in summary["rho_P_error"]
         assert "[0.9994, 0.9994]" in summary["rho_P_error"]
         assert summary["final_oracle_error"] < 1e-8
+
+
+def edited_preset(name, **values):
+    """A preset's config with some of its ``key = value`` lines replaced."""
+    lines = []
+    for line in cli.materialize_preset(name).splitlines():
+        key = line.partition("=")[0].strip()
+        lines.append(f"{key} = {values.pop(key)}" if key in values else line)
+    assert not values
+    return cli.parse_config_text("\n".join(lines) + "\n")
+
+
+class TestOtherDimensions:
+    """End to end through run_experiment on a line and in space."""
+
+    CONFIGS = {
+        1: ("deterministic-poisson", {"dimension": 1, "field.anchors": "0; 10", "field.gamma": 3, "seed": 1}),
+        # biased DLRE in the regular tetrahedron with 6-unit edges
+        3: ("biased-distances", {
+            "dimension": 3, "field.gamma": 1.5, "stop.max_iters": 300, "seed": 2,
+            "field.anchors": "0 0 0; 6 0 0; 3 5.196152422706632 0; 3 1.7320508075688772 4.898979485566356",
+        }),
+    }
+
+    @pytest.mark.parametrize("m", sorted(CONFIGS))
+    def test_run(self, tmp_path, m):
+        name, values = self.CONFIGS[m]
+        cfg = edited_preset(name, **values)
+        summary = cli.run_experiment(cfg, tmp_path / "out")
+        field = cli._build_field(cfg, cfg["seed"])
+        assert field.m == m and summary["n_sensors"] == field.n_sensors > 20
+        assert len(list((tmp_path / "out" / "plot").iterdir())) == field.n_sensors * m
+        tris = dep.triangulate_all(field)
+        on_anchors = sum(any(i in field.anchor_ids for i in t.neighbor_ids) for t in tris.values())
+        assert summary["setup"]["sensors_on_anchors"] == on_anchors > 0
+        if m == 1:
+            assert summary["converged_at"] is not None and summary["final_oracle_error"] < 1e-8
+        else:
+            assert summary["e_l"] > 0
 
 
 class TestReplicas:

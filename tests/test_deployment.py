@@ -334,6 +334,63 @@ class TestSearchMatchesReference:
                 assert dep.can_triangulate(field, l, r) == expected
 
 
+def _collinear_field():
+    # sensor 4's candidates lie on its own line up to radius 3, so its frame
+    # spans one dimension; (10, 2) and (10, 8) leave the line at radius 3
+    anchors = np.array([[0.0, 0.0], [20.0, 0.0], [10.0, 17.0]])
+    sensors = [(10.0, 5.0), (11.0, 5.0), (9.0, 5.0), (12.0, 5.0), (8.0, 5.0), (10.0, 2.0), (10.0, 8.0)]
+    return dep.SensorField(2, anchors, np.array(sensors))
+
+
+class TestWalkBranches:
+    """Branches of the set-up walk that the fields above do not reach."""
+
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_FIELDS))
+    def test_pair_budget_cut_keeps_sets(self, name, monkeypatch):
+        field = EQUIVALENCE_FIELDS[name]()
+        calls = []  # (length array, index asked, index returned)
+        tie_end = dep._tie_end
+
+        def spy(length, i):
+            stop = tie_end(length, i)
+            calls.append((length, i, stop))
+            return stop
+
+        # eight third vertices a batch: planar batches are cut after a few edges
+        monkeypatch.setattr(dep, "_PAIR_BUDGET", 8)
+        monkeypatch.setattr(dep, "_tie_end", spy)
+        r0 = dep._default_r0(field)
+        for l, t in dep.triangulate_all(field).items():
+            assert (t.radius, t.neighbor_ids) == reference_triangulate_sensor(field, l, r0)
+        # a cut asks for an end at or before the one its batch already had;
+        # the next batch asks for one past it
+        cuts = sum(a[0] is b[0] and b[1] <= a[2] for a, b in zip(calls, calls[1:]))
+        assert (cuts > 0) == (field.m == 2)
+
+    def test_degenerate_frame_round_is_walked(self, monkeypatch):
+        field = _collinear_field()
+        frames, walked = [], []
+        local_frame, tie_end = dep._local_frame, dep._tie_end
+
+        def frame_spy(sq_cand, sq_to_l, m):
+            coords, frame_err = local_frame(sq_cand, sq_to_l, m)
+            frames.append((len(sq_to_l), frame_err))
+            return coords, frame_err
+
+        def walk_spy(length, i):
+            walked.append(len(frames))
+            return tie_end(length, i)
+
+        monkeypatch.setattr(dep, "_local_frame", frame_spy)
+        monkeypatch.setattr(dep, "_tie_end", walk_spy)
+        t = dep.triangulate_sensor(field, 4)
+        assert (t.radius, t.neighbor_ids) == reference_triangulate_sensor(field, 4, dep._default_r0(field))
+        assert {9, 10} & set(t.neighbor_ids)  # the set leaves the line
+        flat = [(k, n_c) for k, (n_c, err) in enumerate(frames, 1) if math.isinf(err)]
+        assert [n_c for _, n_c in flat] == [4]  # one round: the four candidates on the line
+        assert flat[0][0] in walked  # its pairs were walked, not skipped
+
+
 def _random_cases():
     """(candidate points, sensor point) pairs drawn at random, m = 1, 2, 3."""
     rng = np.random.default_rng(2024)

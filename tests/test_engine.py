@@ -6,7 +6,7 @@ import pytest
 from dilocsim import deployment as dep
 from dilocsim import engine as eng
 from dilocsim import system as sysm
-from helpers import MIS_SHAPED, mis_shaped
+from helpers import MIS_SHAPED, MIS_SHAPED_ORACLE, mis_shaped, mis_shaped_oracle
 
 
 def demo_setup():
@@ -97,6 +97,19 @@ class TestInputChecks:
         _, sys, anchors, _ = demo_setup()
         with pytest.raises(eng.EngineError, match="step_tol"):
             eng.run_to_convergence(eng.initial_state(anchors, sys.M), sys, anchors, step_tol=-1e-12)
+
+    @pytest.mark.parametrize("case", MIS_SHAPED_ORACLE)
+    @pytest.mark.parametrize("mode", eng.MODES)
+    def test_run_rejects_mis_shaped_oracle(self, case, mode):
+        # a single row used to broadcast against every sensor (final oracle
+        # error 2.0 where the true one is about 3e-10); a row count that
+        # differs ended in a bare numpy broadcasting error
+        _, sys, anchors, xstar = demo_setup()
+        oracle = mis_shaped_oracle(xstar, case)
+        with pytest.raises(eng.DimensionMismatchError, match="oracle"):
+            eng.run_to_convergence(
+                eng.initial_state(anchors, sys.M), sys, anchors, mode=mode, alpha=0.5, max_iters=5, oracle=oracle
+            )
 
 
 class TestRelaxation:

@@ -7,7 +7,15 @@ from dilocsim import deployment as dep
 from dilocsim import engine as eng
 from dilocsim import random_env as renv
 from dilocsim import system as sysm
-from helpers import MIS_SHAPED, effective_biases, estimated_blocks, mis_shaped, synthetic_chain
+from helpers import (
+    MIS_SHAPED,
+    MIS_SHAPED_ORACLE,
+    effective_biases,
+    estimated_blocks,
+    mis_shaped,
+    mis_shaped_oracle,
+    synthetic_chain,
+)
 
 
 def demo_setup():
@@ -414,6 +422,16 @@ class TestDlreRun:
             renv.run_dlre(
                 eng.initial_state(anchors, sys.M), sys, anchors, renv.NoiseModel(seed=1),
                 lambda t: 0.5, max_iters=5, step_tol=-1e-12,
+            )
+
+    @pytest.mark.parametrize("case", MIS_SHAPED_ORACLE)
+    def test_run_rejects_mis_shaped_oracle(self, case):
+        _, _, sys, anchors = demo_setup()
+        xstar = sysm.exact_locations_oracle(sys, anchors)
+        with pytest.raises(eng.DimensionMismatchError, match="oracle"):
+            renv.run_dlre(
+                eng.initial_state(anchors, sys.M), sys, anchors, renv.NoiseModel(seed=1),
+                lambda t: 0.5, max_iters=5, oracle=mis_shaped_oracle(xstar, case),
             )
 
     def test_quiet_constant_gain_run_is_relaxed_run(self):

@@ -290,12 +290,14 @@ def materialize_preset(name: str) -> str:
 
 
 def emit_trace(trace: eng.RunTrace, path):
-    """Tab-separated rows, one per iteration numbered as the snapshots are; header always."""
+    """Tab-separated rows, one per iteration numbered as the snapshots are; header
+    always. The oracle_error cell is empty when the trace holds no oracle errors."""
     lines = ["iteration\tstep_norm\toracle_error\tmessages_total\talpha_t"]
     first = trace.snapshots[-1][0] - trace.iterations + 1
     for i in range(trace.iterations):
+        error = "" if trace.oracle_errors is None else f"{trace.oracle_errors[i]:.17g}"
         lines.append(
-            f"{first + i}\t{trace.step_norms[i]:.17g}\t{trace.oracle_errors[i]:.17g}"
+            f"{first + i}\t{trace.step_norms[i]:.17g}\t{error}"
             f"\t{trace.messages_total(i + 1)}\t{trace.alphas[i]:.17g}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -412,6 +414,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None) -> d
             seed=seed,
         )
         schedule = renv.make_weight_schedule(cfg["schedule.family"], cfg["schedule.param"])
+        # d* belongs to the configured system: a violated assumption fails before any step
+        limit = renv.dlre_limit(sys_m, anchors, model)
         trace = renv.run_dlre(
             initial,
             sys_m,
@@ -424,7 +428,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None) -> d
             oracle=truth,
             seed=seed,
         )
-        limit = renv.dlre_limit(sys_m, anchors, model)
         summary["schedule"] = f"{cfg['schedule.family']}({cfg['schedule.param']:g})"
         summary["channel_var_effective"] = channel_var
         summary["e_l"] = limit.e_l

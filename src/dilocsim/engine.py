@@ -2,7 +2,8 @@
 
 One step replaces every sensor's state with the convex combination of its
 m+1 triangulation neighbors' states (optionally blended with its own state
-through a relaxation gain). Anchor rows never move. Updates are synchronous:
+through a relaxation gain). A state is the sensor rows and the iteration
+number; the anchors stay in their AnchorBlock. Updates are synchronous:
 all rows read iteration t to produce t+1, so a step is a pure function and
 rows could be computed in parallel against the immutable previous state.
 """
@@ -42,22 +43,10 @@ class NonFiniteStateError(EngineError):
 
 @dataclass(frozen=True)
 class IterationState:
-    """Stacked node states: m+1 anchor rows (fixed) above M sensor rows."""
+    """The M sensor rows X after iteration t; the anchors live in the AnchorBlock."""
 
-    C: np.ndarray
+    X: np.ndarray
     t: int = 0
-
-    @property
-    def m(self) -> int:
-        return self.C.shape[1]
-
-    @property
-    def U(self) -> np.ndarray:
-        return self.C[: self.m + 1]
-
-    @property
-    def X(self) -> np.ndarray:
-        return self.C[self.m + 1 :]
 
 
 @dataclass(frozen=True)
@@ -122,13 +111,15 @@ def initial_state(anchors: AnchorBlock, n_sensors: int, seed=0) -> IterationStat
     """
     U = np.asarray(anchors.U, dtype=float)
     rng = np.random.default_rng([_u64(seed), _INIT_STREAM])
-    X0 = rng.uniform(U.min(axis=0), U.max(axis=0), size=(n_sensors, U.shape[1]))
-    return IterationState(np.vstack([U, X0]), t=0)
+    return IterationState(rng.uniform(U.min(axis=0), U.max(axis=0), size=(n_sensors, U.shape[1])))
 
 
 def state_from_guess(anchors: AnchorBlock, X0) -> IterationState:
+    """The sensor rows X0 as the state at t = 0, one column per anchor coordinate."""
     X0 = np.asarray(X0, dtype=float)
-    return IterationState(np.vstack([np.asarray(anchors.U, dtype=float), X0]), t=0)
+    if X0.ndim != 2 or X0.shape[1] != np.shape(anchors.U)[1]:
+        raise DimensionMismatchError(f"guess has shape {X0.shape}, anchors have shape {np.shape(anchors.U)}")
+    return IterationState(X0)
 
 
 def _check_dims(x, sys: SystemMatrices, anchors: AnchorBlock):
@@ -159,8 +150,7 @@ def diloc_rel_step(
     """
     _check_alpha(alpha)
     _check_dims(state.X, sys, anchors)
-    new_x = _relaxed(state.X, sys, sys.B @ np.asarray(anchors.U, dtype=float), alpha)
-    return IterationState(np.vstack([state.U, new_x]), t=state.t + 1)
+    return IterationState(_relaxed(state.X, sys, sys.B @ np.asarray(anchors.U, dtype=float), alpha), state.t + 1)
 
 
 def _check_alpha(alpha: float):
@@ -194,17 +184,19 @@ def run_to_convergence(
     BU = functools.cache(lambda: sys.B @ np.asarray(anchors.U, dtype=float))
     return _trace_loop(
         mode, seed, initial, sys, anchors, lambda _, x: (_relaxed(x, sys, BU(), gain), gain),
-        max_iters, step_tol, snapshot_stride, oracle, start=initial.t,
+        max_iters, step_tol, snapshot_stride, oracle,
     )
 
 
-def _trace_loop(mode, seed, initial, sys, anchors, step, max_iters, step_tol, snapshot_stride, oracle, start):
+def _trace_loop(mode, seed, initial, sys, anchors, step, max_iters, step_tol, snapshot_stride, oracle):
     """The driver of every mode: checks the inputs, iterates, builds the RunTrace.
 
-    ``step(k, x)`` returns the state after the k-th step (from 0) as a new
-    array, never writing into ``x``, and that step's gain. Iterations are
-    numbered from ``start``; the loop stops once a step norm falls below
-    ``step_tol`` and raises NonFiniteStateError at the first non-finite one.
+    ``step(t, x)`` returns the sensor rows after iteration t + 1 from those
+    after iteration t, as a new array never written into ``x``, and that
+    step's gain. The run continues from ``initial.t``, so a run resumed from
+    a trace's last state repeats the unbroken one; the loop stops once a step
+    norm falls below ``step_tol`` and raises NonFiniteStateError at the first
+    non-finite one.
     """
     x = initial.X
     _check_dims(x, sys, anchors)
@@ -212,13 +204,15 @@ def _trace_loop(mode, seed, initial, sys, anchors, step, max_iters, step_tol, sn
         raise DimensionMismatchError(f"oracle has shape {np.shape(oracle)}, system expects ({sys.M}, {sys.m})")
     if step_tol < 0:
         raise EngineError("step_tol must be nonnegative")
+    if initial.t < 0:  # DLRE's gain schedule is defined from t = 0
+        raise EngineError(f"initial iteration must be nonnegative, got {initial.t}")
     # array('d') keeps 8 bytes per entry; a list of Python floats about 32
     step_norms, gains = array("d"), array("d")
     oracle_errors = None if oracle is None else array("d")
-    snapshots, converged_at, t = [], None, start
-    for k in range(int(max_iters)):
-        new, gain = step(k, x)
-        t = start + k + 1
+    snapshots, converged_at, t = [], None, initial.t
+    for _ in range(int(max_iters)):
+        new, gain = step(t, x)
+        t += 1
         norm = float(np.abs(new - x).max()) if len(x) else 0.0
         if not math.isfinite(norm):
             raise NonFiniteStateError(f"step {t} left a non-finite sensor state")

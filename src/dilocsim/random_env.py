@@ -299,11 +299,14 @@ def run_dlre(
     """Run the robust iteration for max_iters steps (or until step_tol).
 
     The gain schedule shrinks the steps whether or not the estimate is good,
-    so step_tol defaults to off; the trace is the interesting output.
+    so step_tol defaults to off; the trace is the interesting output. The
+    run continues from ``initial.t``: step t takes gain alpha(t) and row
+    t % 16 of block t // 16's draws, so a run resumed from a trace's last
+    state repeats the unbroken one bit for bit.
     """
     links = _layout(model, sys)
     U = np.asarray(anchors.U, dtype=float)
-    # the loop counts t up from 0, so each block is drawn once, at its first step
+    # the loop counts t up one at a time, so each block is drawn once
     terms = functools.lru_cache(maxsize=1)(
         lambda block: _block_terms(model, links, U, (sys.M, sys.m), block, 0)
     )
@@ -315,7 +318,7 @@ def run_dlre(
 
     return _trace_loop(
         "dlre", model.seed if seed is None else seed, initial, sys, anchors, step,
-        max_iters, step_tol, snapshot_stride, oracle, start=0,
+        max_iters, step_tol, snapshot_stride, oracle,
     )
 
 
@@ -328,8 +331,6 @@ def dlre_limit(sys: SystemMatrices, anchors: AnchorBlock, model: NoiseModel) -> 
     """
     b, p = _layout(model, sys)
     U = np.asarray(anchors.U, dtype=float)
-    if sys.M == 0:
-        return DlreLimit(np.zeros((0, U.shape[1])), 0.0)
     if not b.bias.any() and not p.bias.any():
         # zero bias: the limit is the exact solution by definition
         return DlreLimit(exact_locations_oracle(sys, anchors), 0.0)

@@ -201,8 +201,6 @@ def absorbing_check(sys: SystemMatrices) -> bool:
     for the iteration to forget its initial guess.
     """
     M = sys.M
-    if M == 0:
-        return True
     P = sys.P.tocoo()
     linked = P.data != 0
     anchored = np.flatnonzero(np.diff(sys.B.indptr))

@@ -7,6 +7,7 @@ import pytest
 from dilocsim import cli
 from dilocsim import deployment as dep
 from dilocsim import engine as eng
+from dilocsim import random_env as renv
 from dilocsim import system as sysm
 
 MINIMAL = """
@@ -190,7 +191,7 @@ class TestRunExperiment:
         field = dep.demo_network()
         sys_m = sysm.build_system_matrices(field, dep.triangulate_all(field))
         anchors = sysm.AnchorBlock(field.anchor_block())
-        start = eng.IterationState(eng.initial_state(anchors, sys_m.M, seed=1).C, t=5)
+        start = eng.IterationState(eng.initial_state(anchors, sys_m.M, seed=1).X, t=5)
         trace = eng.run_to_convergence(
             start, sys_m, anchors, step_tol=0.0, max_iters=12, snapshot_stride=5,
             oracle=sysm.exact_locations_oracle(sys_m, anchors),
@@ -200,6 +201,33 @@ class TestRunExperiment:
         rows = [line.split("\t") for line in (tmp_path / "trace.tsv").read_text().splitlines()[1:]]
         assert [int(r[0]) for r in rows] == list(range(6, 18))
         assert [int(r[3]) for r in rows] == [trace.messages_total(k) for k in range(1, 13)]
+
+    def test_trace_without_oracle_leaves_the_cell_empty(self, tmp_path):
+        # a trace recorded without oracle= used to end in a bare TypeError
+        field = dep.demo_network()
+        sys_m = sysm.build_system_matrices(field, dep.triangulate_all(field))
+        anchors = sysm.AnchorBlock(field.anchor_block())
+        trace = eng.run_to_convergence(
+            eng.initial_state(anchors, sys_m.M, seed=1), sys_m, anchors, step_tol=0.0, max_iters=3
+        )
+        cli.emit_trace(trace, tmp_path / "trace.tsv")
+        lines = (tmp_path / "trace.tsv").read_text().splitlines()
+        assert lines[0] == "iteration\tstep_norm\toracle_error\tmessages_total\talpha_t"
+        rows = [line.split("\t") for line in lines[1:]]
+        assert [r[0] for r in rows] == ["1", "2", "3"]
+        assert [r[2] for r in rows] == ["", "", ""]
+        assert [float(r[1]) for r in rows] == list(trace.step_norms)
+
+    def test_violated_bias_assumption_fails_before_the_run(self, tmp_path, monkeypatch):
+        # rho(P + S_P) < 1 belongs to the configured system: at bias scale 5
+        # the run used to take all 5000 DLRE steps before failing
+        runs = []
+        monkeypatch.setattr(renv, "run_dlre", lambda *args, **kwargs: runs.append(args))
+        cfg = edited_preset("biased-distances", **{"noise.bias_scale": 5})
+        with pytest.raises(sysm.SingularSystemError, match="low-error-bias"):
+            cli.run_experiment(cfg, tmp_path / "out")
+        assert runs == []
+        assert not (tmp_path / "out").exists()
 
     def test_large_stride_single_snapshot(self, tmp_path):
         cfg = minimal_cfg(tmp_path, snapshot_stride=10**6)
@@ -338,14 +366,24 @@ class TestRunExperiment:
         assert summary["final_oracle_error"] < 1e-8
 
 
-def edited_preset(name, **values):
-    """A preset's config with some of its ``key = value`` lines replaced."""
+def edited_text(name, **values):
+    """A preset's config text with ``key = value`` lines replaced, dropped
+    (value None) or, for keys the preset does not set, appended."""
     lines = []
     for line in cli.materialize_preset(name).splitlines():
         key = line.partition("=")[0].strip()
-        lines.append(f"{key} = {values.pop(key)}" if key in values else line)
-    assert not values
-    return cli.parse_config_text("\n".join(lines) + "\n")
+        if key not in values:
+            lines.append(line)
+        elif values[key] is not None:
+            lines.append(f"{key} = {values[key]}")
+        values.pop(key, None)
+    lines += [f"{key} = {value}" for key, value in values.items()]
+    return "\n".join(lines) + "\n"
+
+
+def edited_preset(name, **values):
+    """A preset's config with some of its ``key = value`` lines edited."""
+    return cli.parse_config_text(edited_text(name, **values))
 
 
 class TestOtherDimensions:
@@ -529,6 +567,82 @@ class TestMainEntry:
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "preset, values, message",
+        [
+            ("lf-cn", {"noise.channel_var_scaled_by_M": "maybe"}, "cannot parse 'maybe' as bool"),
+            ("deterministic-poisson", {"field.gamma": None}, "need field.gamma > 0"),
+            ("deterministic-poisson", {"field.gamma": "0"}, "need field.gamma > 0"),
+            ("deterministic-poisson", {"field.gamma": "-2"}, "need field.gamma > 0"),
+            ("deterministic-poisson", {"field.path": "demo.field"}, "field.path is meaningless"),
+            ("deterministic-fixture", {"field.path": None}, "file fields need field.path"),
+            ("deterministic-fixture", {"field.gamma": "1.0"}, "field.gamma is meaningless"),
+            ("deterministic-fixture", {"field.anchors": "0 0; 1 0; 0 1"}, "field.anchors is meaningless"),
+            ("deterministic-poisson", {"field.source": "lattice"}, "field.source must be"),
+            ("deterministic-poisson", {"algorithm": "gossip"}, "algorithm must be"),
+            ("deterministic-poisson", {"algorithm": "diloc_rel"}, "diloc_rel needs alpha"),
+            ("deterministic-poisson", {"algorithm": "diloc_rel", "alpha": "0"}, "diloc_rel needs alpha"),
+            ("deterministic-poisson", {"algorithm": "diloc_rel", "alpha": "1.5"}, "diloc_rel needs alpha"),
+            ("deterministic-poisson", {"schedule.family": "harmonic"}, "schedules apply only to dlre"),
+            ("lf-cn", {"noise.link_prob": "0"}, "noise.link_prob must lie in (0, 1]"),
+            ("lf-cn", {"noise.link_prob": "1.5"}, "noise.link_prob must lie in (0, 1]"),
+            ("lf-cn", {"noise.channel_var": "-1"}, "noise.channel_var must be nonnegative"),
+            ("noisy-distances", {"noise.fluct_var": "-0.1"}, "noise.fluct_var must be nonnegative"),
+            ("deterministic-poisson", {"stop.max_iters": "-1"}, "stop criteria must be nonnegative"),
+            ("deterministic-poisson", {"stop.step_tol": "-1e-3"}, "stop criteria must be nonnegative"),
+            ("deterministic-poisson", {"snapshot_stride": "-1"}, "snapshot_stride must be nonnegative"),
+            ("deterministic-poisson", {"field.anchors": "0 0; 10 x; 5 9"}, "cannot parse field.anchors"),
+            ("deterministic-poisson", {"field.anchors": "0 0; 10; 5 9"}, "cannot parse field.anchors"),
+        ],
+    )
+    def test_config_rejected(self, tmp_path, capsys, preset, values, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(edited_text(preset, **values))
+        assert cli.main(["validate", str(cfg)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(cli.materialize_preset("deterministic-poisson") + "seed 4\n")
+        assert cli.main(["validate", str(cfg)]) == cli.EXIT_CONFIG
+        assert "line 10: expected 'key = value'" in capsys.readouterr().err
+
+    def test_field_without_sensors_rejected(self, tmp_path, capsys):
+        # found only once the field is drawn, still before any output
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(edited_text("deterministic-poisson", **{"field.gamma": "1e-12"}))
+        out = tmp_path / "o"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "field holds no sensors" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ("m\ttwo\ndensity\t-\n", "malformed field header"),
+            ("m\t2\n1\tanchor\t0\t0\n", "malformed field header"),
+            ("m\t2\ndensity\t-\n1\tanchor\t0\tzero\n", "bad record"),
+            ("m\t2\ndensity\t-\n1\tanchor\t0\t0\n3\tanchor\t6\t0\n", "ids must be contiguous"),
+            ("m\t2\ndensity\t-\n1\tanchor\t0\t0\n2\tanchor\t6\t0\n3\tsensor\t3\t1\n"
+             "4\tanchor\t3\t5\n", "anchors must precede sensors"),
+            ("m\t2\ndensity\t-\n1\tanchor\t0\t0\n2\trelay\t6\t0\n", "unknown role 'relay'"),
+            ("m\t2\ndensity\t-\n1\tanchor\t0\t0\n2\tanchor\t6\t0\n3\tsensor\t3\t1\n",
+             "need 3 anchors, found 2"),
+        ],
+        ids=["header-value", "header-missing", "record", "ids", "anchor-after-sensor", "role", "anchor-count"],
+    )
+    def test_bad_field_file(self, tmp_path, capsys, records, message):
+        bad_field = tmp_path / "bad.field"
+        bad_field.write_text(records)
+        with pytest.raises(dep.FieldLoadError, match=message):
+            dep.load_field(bad_field)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"scenario = x\nfield.source = file\nfield.path = {bad_field}\nalgorithm = diloc\n")
+        out = tmp_path / "o"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_RUNTIME
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replicas_flag_validation(self, capsys):
         assert cli.main(["run", "deterministic-fixture", "--replicas", "0"]) == cli.EXIT_CONFIG

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from dilocsim import deployment as dep
 from dilocsim import engine as eng
+from dilocsim import random_env as renv
 from dilocsim import system as sysm
 from helpers import MIS_SHAPED, MIS_SHAPED_ORACLE, mis_shaped, mis_shaped_oracle
 
@@ -28,6 +30,22 @@ def random_setup(seed, side=9.0):
     return field, sys, anchors, xstar
 
 
+RESUMABLE = ("diloc", "diloc_rel", "dlre")
+
+
+def _resumable_run(mode, initial, sys, anchors, steps, oracle):
+    if mode == "dlre":
+        model = renv.NoiseModel(link_prob=0.9, channel_noise_var=0.01, fluct_var=0.01, seed=4)
+        schedule = renv.make_weight_schedule("harmonic", 1.0)
+        return renv.run_dlre(
+            initial, sys, anchors, model, schedule, max_iters=steps, snapshot_stride=5, oracle=oracle
+        )
+    return eng.run_to_convergence(
+        initial, sys, anchors, mode=mode, alpha=0.5, step_tol=0.0, max_iters=steps,
+        snapshot_stride=5, oracle=oracle,
+    )
+
+
 class TestSteps:
     def test_fixed_point(self):
         _, sys, anchors, xstar = demo_setup()
@@ -37,11 +55,16 @@ class TestSteps:
         assert new.t == 1
 
     def test_anchor_rows_never_change(self):
+        # the anchors live only in the AnchorBlock: a stepped state holds the
+        # M sensor rows and the iteration number, nothing else
         _, sys, anchors, _ = demo_setup()
+        U = anchors.U.copy()
         state = eng.initial_state(anchors, sys.M, seed=3)
         for _ in range(25):
             state = eng.diloc_step(state, sys, anchors)
-        np.testing.assert_array_equal(state.U, anchors.U)
+        assert [f.name for f in dataclasses.fields(state)] == ["X", "t"]
+        assert state.X.shape == (sys.M, sys.m) and state.t == 25
+        np.testing.assert_array_equal(anchors.U, U)
 
     def test_single_sensor_one_step_absorption(self):
         anchors_xy = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -93,10 +116,26 @@ class TestInputChecks:
         with pytest.raises(eng.DimensionMismatchError):
             eng.diloc_rel_step(state, sys, block, 0.5)
 
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (2,)], ids=["three-columns", "one-column", "flat"])
+    def test_guess_needs_one_column_per_coordinate(self, shape):
+        # a guess with the wrong column count used to end in numpy's ValueError
+        _, _, anchors, _ = demo_setup()
+        with pytest.raises(eng.DimensionMismatchError, match="guess"):
+            eng.state_from_guess(anchors, np.zeros(shape))
+
     def test_negative_step_tol_rejected(self):
         _, sys, anchors, _ = demo_setup()
         with pytest.raises(eng.EngineError, match="step_tol"):
             eng.run_to_convergence(eng.initial_state(anchors, sys.M), sys, anchors, step_tol=-1e-12)
+
+    @pytest.mark.parametrize("mode", RESUMABLE)
+    def test_negative_start_iteration_rejected(self, mode):
+        # run_dlre reads the gain alpha(t) from initial.t: from t = -3 the
+        # harmonic gains went -0.5, -1 and then a bare ZeroDivisionError
+        _, sys, anchors, _ = demo_setup()
+        start = eng.IterationState(eng.initial_state(anchors, sys.M).X, -3)
+        with pytest.raises(eng.EngineError, match="initial iteration"):
+            _resumable_run(mode, start, sys, anchors, 5, None)
 
     @pytest.mark.parametrize("case", MIS_SHAPED_ORACLE)
     @pytest.mark.parametrize("mode", eng.MODES)
@@ -291,3 +330,20 @@ class TestRunToConvergence:
             eng.run_to_convergence(
                 eng.state_from_guess(anchors, guess), sys, anchors, max_iters=10**6
             )
+
+
+@pytest.mark.parametrize("mode", RESUMABLE)
+def test_resumed_run_repeats_the_unbroken_run(mode):
+    # 10 steps, then 13 more from the trace's last state, cross a 16-step draw
+    # block; run_dlre used to restart its gains and draws at t = 0
+    _, sys, anchors, xstar = demo_setup()
+    initial = eng.initial_state(anchors, sys.M, seed=2)
+    whole = _resumable_run(mode, initial, sys, anchors, 23, xstar)
+    first = _resumable_run(mode, initial, sys, anchors, 10, xstar)
+    resumed = eng.IterationState(first.final_state, first.snapshots[-1][0])
+    rest = _resumable_run(mode, resumed, sys, anchors, 13, xstar)
+    assert np.array_equal(rest.final_state, whole.final_state)
+    for name in ("step_norms", "alphas", "oracle_errors"):
+        joined = np.concatenate([getattr(first, name), getattr(rest, name)])
+        assert np.array_equal(joined, getattr(whole, name)), name
+    assert [t for t, _ in first.snapshots + rest.snapshots] == [t for t, _ in whole.snapshots] == [5, 10, 15, 20, 23]

@@ -597,3 +597,34 @@ class TestRandomLinkBias:
         b = renv.random_link_bias(sys, 0.05, seed=3)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+
+
+def test_field_without_sensors_end_to_end():
+    # the general code serves M = 0: absorbing_check and dlre_limit need no
+    # special case (the oracle keeps one, since its residual check needs a value)
+    anchors_xy = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    field = dep.generate_poisson_field(2, 1e-12, anchors_xy, seed=3)
+    assert field.n_sensors == 0
+    tris = dep.triangulate_all(field)
+    sys = sysm.build_system_matrices(field, tris)
+    anchors = sysm.AnchorBlock(field.anchor_block())
+    assert tris == {} and sys.M == 0
+    assert sysm.absorbing_check(sys) is True
+    assert sysm.spectral_radius(sys.P) == 0.0
+    empty = np.zeros((0, 2))
+    np.testing.assert_array_equal(sysm.exact_locations_oracle(sys, anchors), empty)
+    bias_b, bias_p = renv.random_link_bias(sys, 0.5, seed=1)
+    schedule = renv.make_weight_schedule("harmonic", 1.0)
+    for model in (
+        renv.NoiseModel(seed=1),
+        renv.NoiseModel(link_prob=0.9, channel_noise_var=1.0, fluct_var=0.1, bias_B=bias_b, bias_P=bias_p, seed=1),
+    ):
+        limit = renv.dlre_limit(sys, anchors, model)
+        np.testing.assert_array_equal(limit.d_star, empty)
+        assert limit.e_l == 0.0
+        trace = renv.run_dlre(eng.initial_state(anchors, 0), sys, anchors, model, schedule, max_iters=20, oracle=empty)
+        assert trace.iterations == 20 and trace.final_state.shape == (0, 2)
+        assert not trace.step_norms.any() and not trace.oracle_errors.any()
+    for mode in eng.MODES:
+        trace = eng.run_to_convergence(eng.initial_state(anchors, 0), sys, anchors, mode=mode, alpha=0.5, oracle=empty)
+        assert trace.converged_at == 1 and trace.final_state.shape == (0, 2)

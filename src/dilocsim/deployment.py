@@ -268,7 +268,8 @@ def _slack(sq_diam, sq_reach: float, m: int, frame_err: float):
 
 
 def _det(x: np.ndarray) -> np.ndarray:
-    """Determinants of stacked square matrices, in closed form up to 3 x 3."""
+    """Determinants of stacked square matrices of size 0 to 3, in closed form
+    (set-up runs in dimensions 1 to 3 only)."""
     k = x.shape[-1]
     if k == 0:
         return np.ones(x.shape[:-2])
@@ -276,13 +277,12 @@ def _det(x: np.ndarray) -> np.ndarray:
         return x[..., 0, 0]
     if k == 2:
         return x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
-    if k == 3:  # expansion along the first row
-        return (
-            x[..., 0, 0] * _det(x[..., 1:, 1:])
-            - x[..., 0, 1] * _det(x[..., 1:, ::2])
-            + x[..., 0, 2] * _det(x[..., 1:, :2])
-        )
-    return np.linalg.det(x)
+    # 3 x 3: expansion along the first row
+    return (
+        x[..., 0, 0] * _det(x[..., 1:, 1:])
+        - x[..., 0, 1] * _det(x[..., 1:, ::2])
+        + x[..., 0, 2] * _det(x[..., 1:, :2])
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -301,8 +301,9 @@ def _surrounds(coords: np.ndarray, verts: np.ndarray, s: np.ndarray, q: np.ndarr
     """Prefilter: whether subsets (verts[s], q) surround l within slack.
 
     ``verts`` (S, m) holds vertex rows of ``coords``; each subset adds a
-    last vertex q to state s. The signed sub-volume determinants of a subset
-    are -det(A) and (adj(A) q)_a for A = coords[verts[s]].T: by Cramer's
+    last vertex q to state s and has its own ``slack``. The signed
+    sub-volume determinants of a subset are -det(A) and (adj(A) q)_a for
+    A = coords[verts[s]].T: by Cramer's
     rule, replacing column a of A by q gives (adj(A) q)_a. l lies inside
     exactly when they share one sign; a subset passes when all are >= -slack
     or all are <= slack.
@@ -313,7 +314,7 @@ def _surrounds(coords: np.ndarray, verts: np.ndarray, s: np.ndarray, q: np.ndarr
     minors = a[:, others[:, None, :, None], others[None, :, None, :]]
     adj = sign * _det(minors).transpose(0, 2, 1)
     vals = np.einsum("kij,kj->ki", adj[s], coords[q])
-    base, tol = -_det(a)[s], slack[s]
+    base, tol = -_det(a)[s], slack
     low, high = base >= -tol, base <= tol
     for i in range(vals.shape[1]):
         low &= vals[:, i] >= -tol
@@ -401,7 +402,79 @@ def _planar_round(coords: np.ndarray, slack: float):
     return arcs, by_angle
 
 
+def _pivots(coords: np.ndarray, frame_err: float) -> np.ndarray:
+    """Pivots of a 3-D round: the candidates in a closed half-space through
+    l, widened so that every subset the kernel accepts has one; none when
+    the round can be skipped.
+
+    Every simplex that strictly contains l has a vertex in every closed
+    half-space through l (Tukey's halfspace depth). H = {x : u.x >= -w} for
+    a unit vector u, taken as the one whose H holds the fewest candidates
+    among the directions away from each candidate and away from the point
+    of the candidates' hull nearest l; when l lies outside that hull by
+    more than w, the latter holds none.
+
+    With vertices p_i and l's barycentric weights b_i, sum b_i (u.p_i) = 0;
+    if every u.p_i < -w, the negative weights sum to at least w / R (R: the
+    farthest candidate). The widening w = 1e-3 R (plus frame_err / r_min^2
+    for the frame's own error, r_min the nearest candidate) makes that
+    margin 1e-3: the kernel accepts such a subset only if the rounding of
+    its volumes (squared volumes within about 1e-14, as ``_slack`` takes
+    them) covers 2e-3 of its normalized volume V, which needs V below
+    about 4e-6, a subset flat with l at the kernel's resolution, whose
+    verdict is noise.
+    """
+    n = coords.shape[0]
+    r = np.sqrt(np.einsum("ij,ij->i", coords, coords))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = 1e-3 * float(r.max()) + frame_err / float(r.min()) ** 2
+    if not math.isfinite(w):  # a degenerate frame or a candidate at l: every candidate
+        return np.arange(n)
+    # imported here: scipy.optimize adds about 0.13 s to every start-up, and only 3-D set-up needs it
+    from scipy.optimize import nnls
+
+    # the hull's nearest point: nonnegative weights, their sum held at 1 by a heavy last row
+    heavy = 100.0 * float(r.max())
+    try:
+        weights = nnls(np.vstack([coords.T, np.full(n, heavy)]), np.append(np.zeros(3), heavy))[0]
+    except RuntimeError:  # no convergence: the directions away from the candidates remain
+        weights = np.zeros(n)
+    near = weights @ coords
+    norm = math.sqrt(float(near @ near))
+    away = -coords / r[:, None]
+    if norm > 0.0:
+        away = np.vstack([-near / norm, away])
+    inside = away @ coords.T >= -w
+    return np.flatnonzero(inside[int(np.argmin(inside.sum(axis=1)))])
+
+
 _PAIR_BUDGET = 1 << 19  # work items per batch of the set-up walk
+_KERNEL_BATCH = 1 << 12  # subsets per inclusion-kernel call
+_SETUP_BYTES = 1 << 31  # most bytes one set-up round may hold: past it, DeploymentError
+
+
+def _round_bytes(n_c: int, m: int) -> int:
+    """Most bytes the arrays of one set-up round over n_c candidates hold at once.
+
+    Building the distance table holds 8 (m + 1) n_c^2. The pair walk
+    (m = 1, 2) holds 8 n_c^2 + 56 n_c^2 / 2 while it sorts the pairs; the 3-D
+    walk at most 96 n_c^2 in the table, the pair table and the pivots'
+    candidate lists, with every candidate a pivot. A batch adds at most
+    1 KiB per work item (_PAIR_BUDGET third vertices and 2^16 edges in the
+    plane, _PAIR_BUDGET // 8 subsets in 3-D) and 4 KiB per subset of a
+    kernel call (_KERNEL_BATCH).
+    """
+    batch = _PAIR_BUDGET // 8 if m == 3 else _PAIR_BUDGET + (1 << 16)
+    return (96 if m == 3 else 36) * n_c * n_c + 1024 * batch + 4096 * _KERNEL_BATCH
+
+
+def _check_round_bytes(l: int, radius: float, n_c: int, m: int):
+    need = _round_bytes(n_c, m)
+    if need > _SETUP_BYTES:
+        raise DeploymentError(
+            f"sensor {l}: the set-up round at radius {radius:.6g} over {n_c} candidates "
+            f"needs up to {need} bytes, past the budget of {_SETUP_BYTES}"
+        )
 
 
 def _tie_end(length: np.ndarray, i: int) -> int:
@@ -424,6 +497,8 @@ class _Search:
     """
 
     def __init__(self, field: SensorField, l: int):
+        if field.m > 3:
+            raise UnsupportedDimensionError(f"set-up is defined for dimensions 1 to 3, not {field.m}")
         self.m = field.m
         row = field.sq_distances_from(l)
         row[l - 1] = np.inf  # l is not its own candidate: it sorts last
@@ -441,23 +516,24 @@ class _Search:
         and l's barycentric weights in it, or None.
 
         Candidate subsets are ordered by (max pairwise distance, lexicographic
-        ids): tight cells first, deterministic throughout. The walk is lazy:
-        candidate pairs are taken by length, a block at a time that never
-        splits a run of equal lengths, each pair closes the subsets in which
-        it is a longest edge, and each block's subsets are sorted. Only
-        subsets holding a candidate of index n_old or more count, since
-        every other one failed in an earlier round, and only those whose
-        directions from l surround it within the slack of ``_slack`` reach
-        the kernel; the rest provably fail it. A round in which no subset
-        can surround l is skipped whole (m = 1 and 2). In the plane, one
-        angle sort (``_planar_round``) decides the skip and gives each
-        edge's third vertices, the arc opposite it. The kernel pass that
-        accepts the subset also gives the weights, from the same volumes.
+        ids): tight cells first, deterministic throughout. Only subsets
+        holding a candidate of index n_old or more count, since every other
+        one failed in an earlier round, and only those whose directions from
+        l surround it within the slack of ``_slack`` reach the kernel; the
+        rest provably fail it. A round in which no subset can surround l (in
+        3-D: in which ``_pivots`` finds none) is skipped whole. The kernel
+        pass that accepts the subset also gives the weights, from the same
+        volumes.
 
-        Each call builds its own n_c x n_c squared-distance table and, unless
-        the round is skipped, sorts the n_c (n_c - 1) / 2 candidate pairs by
-        length (ties in any order): it holds 8 n_c^2 + 24 n_c^2 / 2 bytes,
-        and 8 n_c^2 + 56 n_c^2 / 2 while sorting, known before it allocates.
+        m = 1 and 2 walk candidate pairs by length, a block at a time that
+        never splits a run of equal lengths; each pair closes the subsets in
+        which it is a longest edge, and each block's subsets are sorted. In
+        the plane, one angle sort (``_planar_round``) decides the skip and
+        gives each edge's third vertices, the arc opposite it. In 3-D the
+        walk runs through the pivots of ``_pivots`` (``_pivot_walk``).
+
+        Each call builds its own n_c x n_c squared-distance table; its
+        arrays stay within ``_round_bytes(n_c, m)``.
         """
         m, pts, sq_to_l = self.m, self._pts[:n_c], self.sq_to_l[:n_c]
         diffs = np.empty((n_c, n_c, m))
@@ -468,12 +544,17 @@ class _Search:
         del diffs
         coords, frame_err = _local_frame(sq_cand, sq_to_l, m)
         sq_reach = float(sq_to_l[-1])
+        if m == 3:
+            pivots = _pivots(coords, frame_err)
+            if not pivots.size:
+                return None
+            return self._pivot_walk(sq_cand, coords, pivots, n_old, sq_reach, frame_err)
         round_slack = float(_slack(sq_cand.max(), sq_reach, m, frame_err))
         if m == 1:
             x, tol = coords[:, 0], 1.001 * round_slack
             if (x > tol).all() or (x < -tol).all():  # l lies beyond every candidate
                 return None
-        elif m == 2:
+        else:
             planar = _planar_round(coords, round_slack)
             if planar is None:
                 return None
@@ -485,9 +566,8 @@ class _Search:
         first, second, length = first[by_length], second[by_length], length[by_length]
         del by_length
         # batches double from 64 pairs, up to 2^16 planar edges (each batch
-        # then cut at _PAIR_BUDGET third vertices) or about _PAIR_BUDGET mask
-        # entries
-        cap = max(16, 1 << 16 if m == 2 else _PAIR_BUDGET // n_c ** max(1, m - 1))
+        # then cut at _PAIR_BUDGET third vertices) or _PAIR_BUDGET / n_c pairs on a line
+        cap = max(16, 1 << 16 if m == 2 else _PAIR_BUDGET // n_c)
         start, batch = 0, min(64, cap)
         while start < length.size:
             stop = _tie_end(length, start + batch)
@@ -496,7 +576,7 @@ class _Search:
             fresh = ej >= n_old  # whether a state holds a new candidate; ei < ej
             if m == 1:
                 verts, s, q = ei[:, None], np.arange(ei.size), ej
-            elif m == 2:
+            else:
                 verts = np.stack([ei, ej], axis=1)
                 wide, lo, count = arcs(ei, ej, slack)
                 # a wide edge's third vertex lies within sqrt(diam) of both
@@ -519,42 +599,94 @@ class _Search:
                 ok = (sq_cand[ei[s], q] <= diam[s]) & (sq_cand[ej[s], q] <= diam[s])
                 ok &= (q != ei[s]) & (q != ej[s])
                 s, q = s[ok], q[ok]
-            else:
-                verts, cols = np.stack([ei, ej], axis=1), np.arange(n_c)
-                mask = (sq_cand[ei] <= diam[:, None]) & (sq_cand[ej] <= diam[:, None])
-                mask[np.arange(ei.size), ei] = False
-                mask[np.arange(ej.size), ej] = False
-                # grow each state by its next vertex, in increasing index order
-                while verts.shape[1] < m:
-                    s, k = np.nonzero(mask)
-                    verts, diam, slack = np.column_stack([verts[s], k]), diam[s], slack[s]
-                    fresh = fresh[s] | (k >= n_old)
-                    mask = mask[s] & (sq_cand[k] <= diam[:, None]) & (cols[None, :] > k[:, None])
-                s, q = np.nonzero(mask)
             start, batch = stop, min(2 * batch, cap)
             keep = fresh[s] | (q >= n_old)
             if not keep.any():
                 continue
             states, s = np.unique(s[keep], return_inverse=True)
             verts, diam, slack, q = verts[states], diam[states], slack[states], q[keep]
-            keep = _surrounds(coords, verts, s, q, slack)
+            keep = _surrounds(coords, verts, s, q, slack[s])
             s, q = s[keep], q[keep]
-            if not s.size:
-                continue
-            # vertices in id order, subsets in (diameter, ids) order
-            subsets = np.column_stack([verts[s], q])
-            by_id = np.argsort(self.ids[subsets], axis=1)
-            subsets = np.take_along_axis(subsets, by_id, axis=1)
-            key = self.ids[subsets]
-            rank = np.lexsort(tuple(key[:, ::-1].T) + (diam[s],))
-            subsets, key = subsets[rank], key[rank]
-            distinct = np.ones(len(key), dtype=bool)
-            distinct[1:] = (key[1:] != key[:-1]).any(axis=1)
-            subsets, key = subsets[distinct], key[distinct]
-            inside, weights = batch_strict_inclusion(sq_cand, sq_to_l, subsets, m)
-            if inside.any():
-                return tuple(int(i) for i in key[inside][0]), weights[0].copy()
+            if s.size:
+                found = self._first_accepted(sq_cand, np.column_stack([verts[s], q]), diam[s])
+                if found is not None:
+                    return found[1:]
         return None
+
+    def _first_accepted(self, sq_cand, subsets, diam):
+        """The first subset the kernel accepts, in (diameter, ids) order, as
+        (diameter, ids, weights), or None. Rows of ``subsets`` are candidate
+        indices, in any order and possibly repeated."""
+        by_id = np.argsort(self.ids[subsets], axis=1)
+        subsets = np.take_along_axis(subsets, by_id, axis=1)
+        key = self.ids[subsets]
+        rank = np.lexsort(tuple(key[:, ::-1].T) + (diam,))
+        subsets, key, diam = subsets[rank], key[rank], diam[rank]
+        distinct = np.ones(len(key), dtype=bool)
+        distinct[1:] = (key[1:] != key[:-1]).any(axis=1)
+        subsets, key, diam = subsets[distinct], key[distinct], diam[distinct]
+        for lo in range(0, len(subsets), _KERNEL_BATCH):
+            chunk = subsets[lo : lo + _KERNEL_BATCH]
+            inside, weights = batch_strict_inclusion(sq_cand, self.sq_to_l, chunk, self.m)
+            if inside.any():
+                i = lo + int(np.argmax(inside))
+                return float(diam[i]), tuple(int(k) for k in key[i]), weights[0].copy()
+        return None
+
+    def _pivot_walk(self, sq_cand, coords, pivots, n_old, sq_reach, frame_err):
+        """3-D walk: the first containing subset through some pivot.
+
+        Every subset the kernel accepts has a vertex among ``pivots``
+        (``_pivots``), so the first accepted subset is the smallest, in
+        (diameter, ids) order, of each pivot's first. Pivot v lists the
+        other candidates by distance from v, and a subset through v is
+        walked once, with the member last in that list, at that member's
+        distance: no subset through v of squared diameter D has a member
+        farther than D from v. The (pivot, member) entries of all pivots
+        are walked in order of that distance, ``_PAIR_BUDGET // 8``
+        subsets a batch, and the walk stops at the first entry farther
+        than the best hit's diameter.
+        """
+        n = sq_cand.shape[0]
+        others = np.argsort(sq_cand[pivots], axis=1)
+        others = others[others != pivots[:, None]].reshape(pivots.size, n - 1)
+        dist = np.take_along_axis(sq_cand[pivots], others, axis=1)
+        # entry (pivot row, position t >= 2) closes the subsets {v, o_i, o_j, o_t}, i < j < t
+        row, pos = np.divmod(np.argsort(dist[:, 2:], axis=None), n - 3)
+        pos += 2
+        bound = dist[row, pos]
+        del dist
+        # rows before each entry: entry t walks the t (t - 1) / 2 pairs before it
+        rows_before = np.concatenate([[0], np.cumsum(pos * (pos - 1) // 2)])
+        hi, lo = np.tril_indices(n - 1, -1)  # pairs in order of their larger position
+        batch = max(1, _PAIR_BUDGET // 8)
+        best, done = None, 0
+        while True:
+            todo = rows_before[-1 if best is None else np.searchsorted(bound, best[0], side="right")]
+            if done >= todo:
+                return None if best is None else best[1:]
+            g = np.arange(done, min(done + batch, todo))
+            done += g.size
+            e = np.searchsorted(rows_before, g, side="right") - 1
+            p = g - rows_before[e]
+            r = row[e]
+            v, a, b, c = pivots[r], others[r, lo[p]], others[r, hi[p]], others[r, pos[e]]
+            diam = np.maximum(np.maximum(bound[e], sq_cand[a, b]), np.maximum(sq_cand[a, c], sq_cand[b, c]))
+            keep = (v >= n_old) | (a >= n_old) | (b >= n_old) | (c >= n_old)
+            if best is not None:
+                keep &= diam <= best[0]
+            if not keep.any():
+                continue
+            # a state is (pivot, pair): the entries of one pivot share its pairs
+            _, first, s = np.unique((r * hi.size + p)[keep], return_index=True, return_inverse=True)
+            v, a, b, c, diam = v[keep], a[keep], b[keep], c[keep], diam[keep]
+            slack = _slack(diam, sq_reach, 3, frame_err)
+            keep = _surrounds(coords, np.column_stack([v, a, b])[first], s, c, slack)
+            if not keep.any():
+                continue
+            found = self._first_accepted(sq_cand, np.column_stack([v, a, b, c])[keep], diam[keep])
+            if found is not None and (best is None or found[:2] < best[:2]):
+                best = found
 
 
 def triangulate_sensor(field: SensorField, l: int, r0=None, growth=1.25) -> TriangulationSet:
@@ -564,7 +696,9 @@ def triangulate_sensor(field: SensorField, l: int, r0=None, growth=1.25) -> Tria
     failed round. A round with fewer than m+1 candidates, or none new since
     the previous round, fails without a search. Success within the network
     diameter is guaranteed for a valid field because the anchors themselves
-    contain every sensor; failure past that point raises DivergedError.
+    contain every sensor; failure past that point raises DivergedError. A
+    round whose arrays could pass ``_SETUP_BYTES`` (``_round_bytes``) raises
+    DeploymentError before it allocates them.
     """
     if l not in field.sensor_ids:
         raise DeploymentError(f"node {l} is not a sensor")
@@ -576,7 +710,10 @@ def triangulate_sensor(field: SensorField, l: int, r0=None, growth=1.25) -> Tria
     radius, n_old = float(r0), 0
     while True:
         n_c = search.count(radius)
-        found = search.first_inside(n_c, n_old) if n_c > max(n_old, field.m) else None
+        found = None
+        if n_c > max(n_old, field.m):
+            _check_round_bytes(l, radius, n_c, field.m)
+            found = search.first_inside(n_c, n_old)
         if found is not None:
             theta, w = found
             return TriangulationSet(l, radius, theta, BarycentricWeights(l, theta, w))
@@ -601,7 +738,10 @@ def can_triangulate(field: SensorField, l: int, r: float) -> bool:
         raise DeploymentError(f"node {l} is not a sensor")
     search = _Search(field, l)
     n_c = search.count(float(r))
-    return n_c > field.m and search.first_inside(n_c) is not None
+    if n_c <= field.m:
+        return False
+    _check_round_bytes(l, float(r), n_c, field.m)
+    return search.first_inside(n_c) is not None
 
 
 def sector_sufficiency_check(field: SensorField, l: int, r: float) -> bool:

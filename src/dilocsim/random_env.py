@@ -237,7 +237,9 @@ def _block_terms(model, links, U, shape, block: int, draw: int):
     b = links[0]
     alive, w, v = _draw(model, links, shape[1], block, draw)
     e_b, e_p = (a * wt / l.q for a, wt, l in zip(alive, w, links))
-    received = U[b.cols] if v is None else U[b.cols] + v[0]
+    received = np.take(U, b.cols, axis=0)
+    if v is not None:
+        received = received + v[0]
     size = shape[0] * shape[1]
     slots = (b.slots + size * np.arange(_BLOCK)[:, None]).ravel()
     b_sums = np.bincount(slots, weights=(e_b[:, :, None] * received).ravel(), minlength=_BLOCK * size)
@@ -253,7 +255,10 @@ def _step(x, p: _Links, terms, k: int, alpha: float) -> np.ndarray:
     received value before the gain multiplies it.
     """
     e_p, v_p, b_sums = terms
-    received = x[p.cols] if v_p is None else x[p.cols] + v_p[k]
+    # np.take gathers whole rows several times faster than fancy indexing x[p.cols]
+    received = np.take(x, p.cols, axis=0)
+    if v_p is not None:
+        received = received + v_p[k]
     p_sums = np.bincount(p.slots, weights=(e_p[k][:, None] * received).ravel(), minlength=x.size)
     total = p_sums.reshape(x.shape) + b_sums[k]
     return (1.0 - alpha) * x + alpha * total

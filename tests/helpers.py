@@ -188,18 +188,29 @@ def reference_triangulate_sensor(field, l, r0, growth=1.25):
         radius *= growth
 
 
-def reference_hopeless(coords, slack):
+def reference_hopeless(coords, slack, frame_err=0.0):
     """Round-skip verdict of set-up as a standalone test, with its own angle sort.
 
-    True when no subset of the candidate directions ``coords`` (rows relative
-    to the sensor) can pass the prefilter with this slack. m = 1: every
-    candidate lies on one side beyond the slack. m = 2: the directions fit in
-    a cone narrower than pi, and a window search over the angles rolled to
-    start past the widest gap finds no near pair with a candidate between its
-    ends and no two chained near pairs. Other dimensions are never skipped.
+    m = 1 and 2: True when no subset of the candidate directions ``coords``
+    (rows relative to the sensor) can pass the prefilter with this slack.
+    m = 1: every candidate lies on one side beyond the slack. m = 2: the
+    directions fit in a cone narrower than pi, and a window search over the
+    angles rolled to start past the widest gap finds no near pair with a
+    candidate between its ends and no two chained near pairs.
     ``deployment._Search`` must skip exactly the rounds this marks.
+
+    m = 3: True when the sensor lies outside the candidates' hull by more
+    than the pivot widening w = 1e-3 R + frame_err / r_min^2 (R, r_min: the
+    farthest and nearest candidate), the distance measured by brute force
+    over every face of up to four candidates. A 3-D round can be skipped
+    only then; ``deployment._pivots`` may miss a few of these rounds.
     """
     m = coords.shape[1]
+    if m == 3:
+        r = np.sqrt((coords**2).sum(axis=1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = 1e-3 * r.max() + frame_err / r.min() ** 2
+        return bool(math.isfinite(w) and hull_distance(coords) > w)
     slack *= 1.001
     if m == 1:
         x = coords[:, 0]
@@ -238,6 +249,36 @@ def reference_hopeless(coords, slack):
     chained = np.zeros(n + 1, dtype=bool)
     chained[first[near]] = True
     return not (chained[:-1] & chained[1:]).any()
+
+
+def hull_distance(pts):
+    """Distance from the origin to the convex hull of the rows of ``pts``.
+
+    Brute force over every set of up to four points: the origin's projection
+    on the set's affine hull (least squares with weights summing to one)
+    counts when its weights are nonnegative; the nearest point of the hull
+    is such a projection for one of its faces.
+    """
+    from itertools import combinations
+
+    pts = np.asarray(pts, dtype=float)
+    best = math.inf
+    for size in range(1, min(4, len(pts)) + 1):
+        sets = np.array(list(combinations(range(len(pts)), size)))
+        p = pts[sets]  # (K, size, m)
+        gram = np.einsum("kim,kjm->kij", p, p)
+        kkt = np.zeros((len(sets), size + 1, size + 1))
+        kkt[:, :size, :size] = gram
+        kkt[:, :size, size] = kkt[:, size, :size] = 1.0
+        rhs = np.zeros(size + 1)
+        rhs[size] = 1.0
+        sol = np.linalg.pinv(kkt) @ rhs
+        weights = sol[:, :size]
+        near = np.einsum("ki,kim->km", weights, p)
+        ok = (weights >= -1e-12).all(axis=1) & (np.abs(weights.sum(axis=1) - 1.0) < 1e-9)
+        if ok.any():
+            best = min(best, float(np.sqrt((near[ok] ** 2).sum(axis=1)).min()))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -482,8 +483,8 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_dimension_above_three_rejected(self, tmp_path, capsys, command):
-        # set-up has no measured path past 3-D: a 4-D field of 97 sensors was
-        # still in set-up after 300 s, so the config is refused up front
+        # set-up is defined for dimensions 1 to 3 only, so the config is
+        # refused up front
         cfg = tmp_path / "c.cfg"
         cfg.write_text(
             "scenario = x\ndimension = 4\nfield.source = poisson\nfield.gamma = 2.0\n"
@@ -493,6 +494,20 @@ class TestMainEntry:
         args = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
         assert cli.main(args) == cli.EXIT_CONFIG
         assert "dimension must be 1, 2 or 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_setup_past_byte_budget(self, tmp_path, capsys, monkeypatch, m):
+        # a set-up round that could pass the byte budget ends the run with a
+        # runtime error naming the sensor and the radius, and writes nothing
+        name, values = TestOtherDimensions.CONFIGS[3] if m == 3 else ("deterministic-fixture", {})
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(edited_text(name, **values))
+        monkeypatch.setattr(dep, "_SETUP_BYTES", 1)
+        out = tmp_path / "o"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert re.search(r"runtime error: sensor \d+: the set-up round at radius \S+ over \d+ candidates", err)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])

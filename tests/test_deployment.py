@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from importlib import resources
 from itertools import combinations
 from unittest import mock
@@ -251,11 +252,14 @@ class TestTriangulation:
     def test_non_sensor_rejected(self):
         with pytest.raises(dep.DeploymentError):
             dep.triangulate_sensor(dep.demo_network(), 1)
+        with pytest.raises(dep.DeploymentError):
+            dep.can_triangulate(dep.demo_network(), 1, 1.0)
 
     def test_can_triangulate_demo(self):
         f = dep.demo_network()
         assert dep.can_triangulate(f, 5, 1.5)
         assert not dep.can_triangulate(f, 5, 1.0)
+        assert not dep.can_triangulate(f, 5, 0.1)  # fewer than m + 1 candidates
 
     def test_protocol_radius_within_2_76_for_99_percent(self):
         # unit-density deployment: at least 99% of sensors with an uncensored
@@ -283,6 +287,10 @@ class TestTriangulation:
 
 
 TETRAHEDRON = np.array([[0.0, 0.0, 0.0], [6.0, 0.0, 0.0], [3.0, 5.2, 0.0], [3.0, 1.7, 4.9]])
+# the regular tetrahedron with 6-unit edges of the setup-poisson benchmark
+REGULAR_TETRAHEDRON = np.array(
+    [[0.0, 0.0, 0.0], [6.0, 0.0, 0.0], [3.0, 3.0 * math.sqrt(3.0), 0.0], [3.0, math.sqrt(3.0), 2.0 * math.sqrt(6.0)]]
+)
 
 
 def _lattice_field():
@@ -304,6 +312,8 @@ EQUIVALENCE_FIELDS = {
         f"spatial-{s}": (lambda s=s: dep.generate_poisson_field(3, 0.6, TETRAHEDRON, s))
         for s in (0, 2)
     },
+    # the setup-poisson benchmark's 3-D field (M = 37)
+    "spatial-bench": lambda: dep.generate_poisson_field(3, 1.5, REGULAR_TETRAHEDRON, 3),
     "line": lambda: dep.generate_poisson_field(1, 3.0, np.array([[0.0], [10.0]]), seed=2),
     "lattice": _lattice_field,
 }
@@ -349,16 +359,29 @@ class TestWalkBranches:
     def test_pair_budget_cut_keeps_sets(self, name, monkeypatch):
         field = EQUIVALENCE_FIELDS[name]()
         calls = []  # (length array, index asked, index returned)
-        tie_end = dep._tie_end
+        walks = []  # prefiltered batches of each 3-D walk
+        tie_end, pivot_walk, surrounds = dep._tie_end, dep._Search._pivot_walk, dep._surrounds
 
         def spy(length, i):
             stop = tie_end(length, i)
             calls.append((length, i, stop))
             return stop
 
-        # eight third vertices a batch: planar batches are cut after a few edges
-        monkeypatch.setattr(dep, "_PAIR_BUDGET", 8)
+        def walk_spy(search, *args):
+            walks.append(0)
+            return pivot_walk(search, *args)
+
+        def surrounds_spy(*args):
+            if walks:
+                walks[-1] += 1
+            return surrounds(*args)
+
+        # eight third vertices a batch: planar batches are cut after a few
+        # edges; a 3-D batch holds eight subsets
+        monkeypatch.setattr(dep, "_PAIR_BUDGET", 8 if field.m < 3 else 64)
         monkeypatch.setattr(dep, "_tie_end", spy)
+        monkeypatch.setattr(dep._Search, "_pivot_walk", walk_spy)
+        monkeypatch.setattr(dep, "_surrounds", surrounds_spy)
         r0 = dep._default_r0(field)
         for l, t in dep.triangulate_all(field).items():
             assert (t.radius, t.neighbor_ids) == reference_triangulate_sensor(field, l, r0)
@@ -366,6 +389,21 @@ class TestWalkBranches:
         # the next batch asks for one past it
         cuts = sum(a[0] is b[0] and b[1] <= a[2] for a, b in zip(calls, calls[1:]))
         assert (cuts > 0) == (field.m == 2)
+        assert (max(walks, default=0) > 1) == (field.m == 3)
+
+    def test_pivots_without_the_nearest_hull_point(self, monkeypatch):
+        # when nnls does not converge, the directions away from each candidate
+        # still give a half-space that every accepted subset meets
+        import scipy.optimize
+
+        field = EQUIVALENCE_FIELDS["spatial-0"]()
+        expected = {l: t.neighbor_ids for l, t in dep.triangulate_all(field).items()}
+
+        def no_convergence(*args, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", no_convergence)
+        assert {l: t.neighbor_ids for l, t in dep.triangulate_all(field).items()} == expected
 
     def test_degenerate_frame_round_is_walked(self, monkeypatch):
         field = _collinear_field()
@@ -451,13 +489,16 @@ def _near_degenerate_cases():
 
 def _search_skips(points, l_point):
     """Whether set-up skips the round whose candidates are ``points``, its
-    sensor at ``l_point``: a skipped round walks no candidate pair."""
+    sensor at ``l_point``: a skipped round walks no candidate pair and, in
+    3-D, tests no subset through a pivot."""
     m = points.shape[1]
     field = dep.SensorField(m, points[: m + 1], np.vstack([points[m + 1 :], l_point]), validate=False)
     search = dep._Search(field, field.n_nodes)
-    with mock.patch.object(dep, "_tie_end", wraps=dep._tie_end) as walk:
+    with mock.patch.object(dep, "_tie_end", wraps=dep._tie_end) as walk, mock.patch.object(
+        dep, "_surrounds", wraps=dep._surrounds
+    ) as tested:
         search.first_inside(search.count(math.inf))
-    return not walk.called
+    return not (walk.called or tested.called)
 
 
 def _prefilter_verdicts(points, l_point):
@@ -476,9 +517,18 @@ def _prefilter_verdicts(points, l_point):
     rows = np.arange(len(combos))
     passed = dep._surrounds(coords, combos[:, :-1], rows, combos[:, -1], slack)
     round_slack = float(dep._slack(sq_cand.max(), sq_to_l.max(), m, frame_err))
-    hopeless = reference_hopeless(coords, round_slack)
+    hopeless = reference_hopeless(coords, round_slack, frame_err)
+    skips = _search_skips(points, l_point)
     if m < 3:
-        assert _search_skips(points, l_point) == hopeless
+        assert skips == hopeless
+    else:
+        # every subset the kernel accepts has a vertex in the pivots' half-space,
+        # and the search skips exactly when it holds none, which needs l
+        # outside the candidates' hull by more than the widening
+        pivots = dep._pivots(coords, frame_err)
+        assert np.isin(combos[accepted], pivots).any(axis=1).all()
+        assert skips == (pivots.size == 0)
+        assert hopeless or not skips
     if m == 2 and not hopeless:
         # the planar walk draws third vertices from the arc opposite each edge
         arcs, by_angle = dep._planar_round(coords, round_slack)
@@ -496,13 +546,17 @@ class TestPrefilterConservative:
 
     def test_random_small_sets(self):
         counts = np.zeros(3, dtype=int)  # accepted, passed, skipped rounds
+        skipped = {1: 0, 2: 0, 3: 0}
         for points, l_point in _random_cases():
             accepted, passed, hopeless = _prefilter_verdicts(points, l_point)
             assert not (accepted & ~passed).any()
             assert not (hopeless and passed.any())
             counts += (accepted.sum(), passed.sum(), hopeless)
-        # on generic points the prefilter is tight and rounds do get skipped
+            skipped[points.shape[1]] += _search_skips(points, l_point)
+        # on generic points the prefilter is tight and rounds do get skipped,
+        # in 3-D too
         assert counts[0] > 0 and counts[1] < 2 * counts[0] and counts[2] > 50
+        assert min(skipped.values()) > 30
 
     def test_near_degenerate_sets(self):
         for points, l_point in _near_degenerate_cases():
@@ -562,6 +616,72 @@ class TestPlanarWalkScaling:
         last = sum(k for n, k in scored if n == n_c)
         assert n_c >= 200 and min(tris[l].neighbor_ids) in field.anchor_ids
         assert 0 < last < n_c**2 < n_c**3 / 100
+
+
+def _duplicate_sensor_field(n, seed):
+    """n sensors in the regular tetrahedron, the last a copy of the first: the
+    last sensor's nearest candidate sits on it, so every candidate is a pivot."""
+    w = np.random.default_rng(seed).exponential(size=(n, 4))
+    pts = (w / w.sum(axis=1, keepdims=True)) @ REGULAR_TETRAHEDRON
+    return dep.SensorField(3, REGULAR_TETRAHEDRON, np.vstack([pts, pts[:1]]))
+
+
+class TestSetUpSize:
+    """Set-up refuses what it cannot do: dimensions above 3, and rounds whose
+    arrays could pass the byte budget, before any array is allocated."""
+
+    def test_four_dimensions_refused(self):
+        anchors = np.vstack([np.zeros(4), 6.0 * np.eye(4)])
+        field = dep.SensorField(4, anchors, np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 1.0, 1.0], [2.0, 1.0, 1.0, 0.5]]))
+        with pytest.raises(dep.UnsupportedDimensionError):
+            dep.triangulate_sensor(field, 6)
+        with pytest.raises(dep.UnsupportedDimensionError):
+            dep.can_triangulate(field, 6, 10.0)
+
+    @pytest.mark.parametrize("name", ["demo", "spatial-0"])
+    def test_round_past_budget_raises(self, name, monkeypatch):
+        field = EQUIVALENCE_FIELDS[name]()
+        l = field.m + 2
+        t = dep.triangulate_sensor(field, l)
+        n_c = dep._Search(field, l).count(t.radius)
+        # the round that found the set is the first with n_c candidates
+        monkeypatch.setattr(dep, "_SETUP_BYTES", dep._round_bytes(n_c, field.m) - 1)
+        message = rf"sensor {l}: the set-up round at radius {t.radius:.6g} over {n_c} candidates"
+        with pytest.raises(dep.DeploymentError, match=message):
+            dep.triangulate_sensor(field, l)
+        with pytest.raises(dep.DeploymentError, match=message):
+            dep.can_triangulate(field, l, t.radius)
+        monkeypatch.setattr(dep, "_SETUP_BYTES", dep._round_bytes(n_c, field.m))
+        again = dep.triangulate_sensor(field, l)
+        assert (again.radius, again.neighbor_ids) == (t.radius, t.neighbor_ids)
+
+    @pytest.mark.parametrize(
+        "make, sensors",
+        [
+            # the boundary sensor with the largest radius of a planar density-6
+            # field walks all 253 candidates' pairs in its last round
+            (lambda: dep.generate_poisson_field(2, 6.0, FIFTY_NODE_ANCHORS, seed=3), [191]),
+            (EQUIVALENCE_FIELDS["spatial-bench"], [5, 11, 23]),
+            (lambda: _duplicate_sensor_field(24, 1), [29]),
+        ],
+        ids=["planar", "spatial", "every-candidate-a-pivot"],
+    )
+    def test_round_bytes_bound_the_arrays(self, make, sensors, monkeypatch):
+        # small batches, so that the n_c^2 terms carry the bound in 3-D
+        monkeypatch.setattr(dep, "_PAIR_BUDGET", 256)
+        monkeypatch.setattr(dep, "_KERNEL_BATCH", 16)
+        field = make()
+        for l in sensors:
+            search = dep._Search(field, l)
+            for n_c in (field.m + 2, field.n_nodes // 2, field.n_nodes - 1):
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    search.first_inside(n_c)
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+                assert 0 < peak <= dep._round_bytes(n_c, field.m)
 
 
 class TestSectorCheck:

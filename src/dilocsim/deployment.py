@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -200,15 +201,18 @@ def _u64(seed) -> int:
 def _default_r0(field: SensorField) -> float:
     if field.density:
         return field.density ** (-1.0 / field.m) / 2.0
-    # explicit fields: half the median nearest-neighbor distance
+    # explicit fields: half the median nearest-neighbor distance, where a
+    # node at distance 0 (the sensor itself, or a coincident twin) sets no scale
     nn = []
     for l in field.sensor_ids:
         sq = field.sq_distances_from(l)
-        sq[l - 1] = np.inf
-        nn.append(math.sqrt(sq.min()))
+        nn.append(math.sqrt(sq[sq > 0.0].min(initial=math.inf)))
     if not nn:
         raise DeploymentError("field has no sensors")
-    return float(np.median(nn)) / 2.0
+    r0 = float(np.median(nn)) / 2.0
+    if not math.isfinite(r0):  # a sensor with no node at distance > 0: every node sits on it
+        raise DeploymentError("all nodes of the field coincide, so no default r0 exists")
+    return r0
 
 
 def _local_frame(sq_cand: np.ndarray, sq_to_l: np.ndarray, m: int):
@@ -322,97 +326,70 @@ def _surrounds(coords: np.ndarray, verts: np.ndarray, s: np.ndarray, q: np.ndarr
     return low | high
 
 
-def _planar_round(coords: np.ndarray, slack: float):
-    """One planar round's angle sort: None when no triangle can surround l.
+def _beyond(pts: np.ndarray, w: float) -> bool:
+    """Whether some direction puts every row farther than w from the origin
+    along it. Then the origin lies outside the rows' hull by more than w,
+    and the half-space facing away from that direction holds no row.
 
-    ``slack`` bounds the slack of every subset in the round. Candidate v has
-    angular slack A_v, sin(A_v) = 1.001 slack / (|v| r_min) + 1e-12 (r_min:
-    the nearest candidate; the factor absorbs rounding differences from the
-    prefilter's own products).
-
-    Skip: when the directions from l fit in a cone narrower than pi (l is
-    outside the candidates' hull), a triangle (a, b, c) in cone order passes
-    only if det(a, c) <= slack, or det(a, b) and det(b, c) both are. Such
-    near pairs lie within A_v of one direction or of its opposite, so a
-    window search on the sorted angles finds them, and the round is hopeless
-    when none has a candidate between its ends and no two are chained.
-
-    Otherwise returns ``(arcs, by_angle)``: ``arcs(ei, ej, edge_slack)``
-    gives, per edge, (wide, lo, count), and the candidates that may complete
-    edge (ei, ej) to a triangle surrounding l -- a superset of those passing
-    ``_surrounds`` -- are by_angle[(lo + i) % n] for 0 <= i < count, or any
-    candidate where ``wide`` is set. With the edge (a, b) counter-clockwise
-    about l, det(a, b) > edge_slack and angle phi from a to b, a third vertex
-    k passes only if det(b, k) and det(k, a) are >= -edge_slack, which puts
-    its direction in the arc from angle(a) + pi - A_a to angle(b) + pi + A_b.
-    Edges where that fails to hold -- det(a, b) within the slack, A_v
-    undefined, or phi <= A_a + A_b, where a second arc opens -- are wide.
-    Each arc end depends on one vertex, so it is placed once per round.
+    The search follows Wolfe's path to the hull's point x nearest the origin
+    ("Finding the nearest point in a polytope", Math. Programming 1976). x
+    is the nearest point of a corral of rows, one inside their own hull.
+    While some row lies below |x|^2 along x, the least such row joins the
+    corral; when the corral's nearest point then leaves its hull, x moves
+    toward it until a weight reaches 0, and that row leaves. The search
+    stops as soon as x is such a direction, or once |x| <= w, where none can
+    be. A path that stalls in rounding answers False, which skips nothing.
     """
-    n = coords.shape[0]
-    tol = 1.001 * slack
-    theta = np.arctan2(coords[:, 1], coords[:, 0])
-    by_angle = np.argsort(theta, kind="stable")
-    th = theta[by_angle]
-    th2 = np.concatenate([th, th + 2.0 * math.pi])
-    r = np.hypot(coords[:, 0], coords[:, 1])
-    with np.errstate(divide="ignore"):  # a candidate at l itself: every edge is wide
-        sin_v = tol / (r * r.min()) + 1e-12
-    wide_v = sin_v >= 1.0
-    ang = np.arcsin(np.minimum(sin_v, 1.0)) + 1e-9
-    gaps = np.diff(th2[: n + 1])
-    g = int(np.argmax(gaps))
-    if math.isfinite(tol) and gaps[g] > math.pi + 1e-9:
-        # the cone in angle order, from the far side of its widest gap
-        pos = np.arange(n)
-        cone = th2[(g + 1) % n :][:n]
-        order = by_angle[(pos + g + 1) % n]
-        near_end = np.maximum(np.searchsorted(cone, cone + ang[order], side="right"), pos + 1)
-        far_start = np.maximum(np.searchsorted(cone, cone + math.pi - ang[order], side="left"), near_end)
-        counts = (near_end - pos - 1) + (n - far_start)
-        if counts.sum() <= 16 * n:
-            first = np.repeat(pos, counts)
-            k = np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            n_near = np.repeat(near_end - pos - 1, counts)
-            second = np.where(k < n_near, first + 1 + k, np.repeat(far_start, counts) + k - n_near)
-            a, b = coords[order[first]], coords[order[second]]
-            near = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] <= tol
-            chained = np.zeros(n + 1, dtype=bool)
-            chained[first[near]] = True
-            if not ((second[near] - first[near] >= 2).any() or (chained[:-1] & chained[1:]).any()):
-                return None
-    begin = th[0] + np.mod(theta + math.pi - ang - th[0], 2.0 * math.pi)
-    end = th[0] + np.mod(theta + math.pi + ang - th[0], 2.0 * math.pi)
-    lo_v = np.searchsorted(th2, begin, side="left")
-    hi_v = np.searchsorted(th2, end, side="right")
-
-    def arcs(ei: np.ndarray, ej: np.ndarray, edge_slack):
-        det = coords[ei, 0] * coords[ej, 1] - coords[ei, 1] * coords[ej, 0]
-        a, b = np.where(det >= 0.0, ei, ej), np.where(det >= 0.0, ej, ei)
-        phi = np.mod(theta[b] - theta[a], 2.0 * math.pi)
-        wide = (
-            (np.abs(det) <= edge_slack) | wide_v[a] | wide_v[b]
-            | (phi <= ang[a] + ang[b]) | (phi >= math.pi)
-        )
-        lo = lo_v[a]
-        # an arc that passes angle th[0] + 2 pi ends in the second copy of th
-        hi = np.minimum(hi_v[b] + n * (end[b] < begin[a]), lo + n)
-        return wide, lo, hi - lo
-
-    return arcs, by_angle
+    sq = np.einsum("ij,ij->i", pts, pts)
+    corral, weights = [int(np.argmin(sq))], np.ones(1)
+    x = pts[corral[0]]
+    for _ in range(8 * pts.shape[1] + 8):
+        along = pts @ x
+        j = int(np.argmin(along))
+        xx = float(x @ x)
+        if along[j] > w * math.sqrt(xx):
+            return True
+        if xx <= w * w or xx - along[j] <= 1e-12 * float(sq.max()) or j in corral:
+            return False
+        corral.append(j)
+        weights = np.append(weights, 0.0)
+        while True:
+            # the point of the corral's affine hull nearest the origin: weights summing to 1
+            q = pts[corral]
+            s = len(corral)
+            kkt = np.ones((s + 1, s + 1))
+            kkt[:s, :s] = q @ q.T
+            kkt[s, s] = 0.0
+            rhs = np.zeros(s + 1)
+            rhs[s] = 1.0
+            try:
+                affine = np.linalg.solve(kkt, rhs)[:s]
+            except np.linalg.LinAlgError:
+                return False
+            if (affine > 0.0).all():
+                weights = affine
+                break
+            out = affine <= 0.0
+            weights = weights + float((weights[out] / (weights[out] - affine[out])).min()) * (affine - weights)
+            weights[np.argmin(np.where(out, weights, np.inf))] = 0.0
+            corral = [i for i, keep in zip(corral, weights > 0.0) if keep]
+            weights = weights[weights > 0.0]
+        x = weights @ pts[corral]
+    return False
 
 
 def _pivots(coords: np.ndarray, frame_err: float) -> np.ndarray:
-    """Pivots of a 3-D round: the candidates in a closed half-space through
-    l, widened so that every subset the kernel accepts has one; none when
-    the round can be skipped.
+    """Pivots of a round: the candidates in a closed half-space through l,
+    widened so that every subset the kernel accepts has one; none when the
+    round can be skipped.
 
     Every simplex that strictly contains l has a vertex in every closed
-    half-space through l (Tukey's halfspace depth). H = {x : u.x >= -w} for
-    a unit vector u, taken as the one whose H holds the fewest candidates
-    among the directions away from each candidate and away from the point
-    of the candidates' hull nearest l; when l lies outside that hull by
-    more than w, the latter holds none.
+    half-space through l (Tukey's halfspace depth), in every dimension m.
+    H = {x : u.x >= -w} for a unit vector u, taken as the one whose H holds
+    the fewest candidates among the directions away from each candidate
+    (on a line: the side of l with fewer candidates). When each of those
+    holds one, ``_beyond`` looks for a u whose H holds none, which exists
+    exactly when l lies outside the candidates' hull by more than w.
 
     With vertices p_i and l's barycentric weights b_i, sum b_i (u.p_i) = 0;
     if every u.p_i < -w, the negative weights sum to at least w / R (R: the
@@ -424,65 +401,47 @@ def _pivots(coords: np.ndarray, frame_err: float) -> np.ndarray:
     about 4e-6, a subset flat with l at the kernel's resolution, whose
     verdict is noise.
     """
-    n = coords.shape[0]
     r = np.sqrt(np.einsum("ij,ij->i", coords, coords))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = 1e-3 * float(r.max()) + frame_err / float(r.min()) ** 2
-    if not math.isfinite(w):  # a degenerate frame or a candidate at l: every candidate
-        return np.arange(n)
-    # imported here: scipy.optimize adds about 0.13 s to every start-up, and only 3-D set-up needs it
-    from scipy.optimize import nnls
-
-    # the hull's nearest point: nonnegative weights, their sum held at 1 by a heavy last row
-    heavy = 100.0 * float(r.max())
-    try:
-        weights = nnls(np.vstack([coords.T, np.full(n, heavy)]), np.append(np.zeros(3), heavy))[0]
-    except RuntimeError:  # no convergence: the directions away from the candidates remain
-        weights = np.zeros(n)
-    near = weights @ coords
-    norm = math.sqrt(float(near @ near))
-    away = -coords / r[:, None]
-    if norm > 0.0:
-        away = np.vstack([-near / norm, away])
-    inside = away @ coords.T >= -w
-    return np.flatnonzero(inside[int(np.argmin(inside.sum(axis=1)))])
+    if not math.isfinite(frame_err) or r.min() == 0.0:  # a degenerate frame or a candidate at l
+        return np.arange(len(coords))
+    w = 1e-3 * float(r.max()) + frame_err / float(r.min()) ** 2
+    inside = -coords / r[:, None] @ coords.T >= -w
+    counts = inside.sum(axis=1)
+    if counts.min() and _beyond(coords, w):
+        return np.arange(0)
+    return np.flatnonzero(inside[int(np.argmin(counts))])
 
 
-_PAIR_BUDGET = 1 << 19  # work items per batch of the set-up walk
+_WALK_BATCH = 1 << 16  # subsets per batch of the pivot walk
 _KERNEL_BATCH = 1 << 12  # subsets per inclusion-kernel call
 _SETUP_BYTES = 1 << 31  # most bytes one set-up round may hold: past it, DeploymentError
 
 
-def _round_bytes(n_c: int, m: int) -> int:
-    """Most bytes the arrays of one set-up round over n_c candidates hold at once.
+def _round_bytes(n_c: int, m: int, k: int = 0) -> int:
+    """Most bytes the arrays of one set-up round over n_c candidates hold at
+    once, given k pivots (0 before ``_pivots`` has counted them).
 
-    Building the distance table holds 8 (m + 1) n_c^2. The pair walk
-    (m = 1, 2) holds 8 n_c^2 + 56 n_c^2 / 2 while it sorts the pairs; the 3-D
-    walk at most 96 n_c^2 in the table, the pair table and the pivots'
-    candidate lists, with every candidate a pivot. A batch adds at most
-    1 KiB per work item (_PAIR_BUDGET third vertices and 2^16 edges in the
-    plane, _PAIR_BUDGET // 8 subsets in 3-D) and 4 KiB per subset of a
-    kernel call (_KERNEL_BATCH).
+    The squared-distance table holds 8 n_c^2 throughout. Besides it,
+    building it holds the 8 m n_c^2 coordinate differences, and ``_pivots``
+    one float and one bool per (direction, candidate), 9 n_c^2. The walk
+    holds its table of the C(n_c - 1, m - 1) combinations of m - 1
+    positions and at most 40 bytes per (pivot, candidate) in the pivots'
+    lists. A batch adds at most 1 KiB per subset (_WALK_BATCH) and 4 KiB
+    per subset of a kernel call (_KERNEL_BATCH). The same form holds for
+    every m, and k = n_c bounds any round.
     """
-    batch = _PAIR_BUDGET // 8 if m == 3 else _PAIR_BUDGET + (1 << 16)
-    return (96 if m == 3 else 36) * n_c * n_c + 1024 * batch + 4096 * _KERNEL_BATCH
+    before_walk = 8 * max(m, 2) * n_c * n_c
+    walk = 8 * (m - 1) * math.comb(n_c - 1, m - 1) + 40 * k * n_c
+    return 8 * n_c * n_c + max(before_walk, walk) + 1024 * _WALK_BATCH + 4096 * _KERNEL_BATCH
 
 
-def _check_round_bytes(l: int, radius: float, n_c: int, m: int):
-    need = _round_bytes(n_c, m)
+def _check_round_bytes(l: int, radius: float, n_c: int, m: int, k: int = 0):
+    need = _round_bytes(n_c, m, k)
     if need > _SETUP_BYTES:
         raise DeploymentError(
             f"sensor {l}: the set-up round at radius {radius:.6g} over {n_c} candidates "
             f"needs up to {need} bytes, past the budget of {_SETUP_BYTES}"
         )
-
-
-def _tie_end(length: np.ndarray, i: int) -> int:
-    """Smallest index >= i (capped at the end) that does not split a run of equal lengths."""
-    i = min(i, length.size)
-    while i < length.size and length[i] == length[i - 1]:
-        i += 1
-    return i
 
 
 class _Search:
@@ -492,14 +451,14 @@ class _Search:
     (ties in any order: they fall in the same round, and the search is keyed
     by ids and values), so every round's candidates are a prefix of that
     order. Nothing else carries over: each round builds its own distance
-    table and pair order from that prefix. Directions come from
+    table and pivot lists from that prefix. Directions come from
     ``_local_frame``, so the search reads squared distances only.
     """
 
     def __init__(self, field: SensorField, l: int):
         if field.m > 3:
             raise UnsupportedDimensionError(f"set-up is defined for dimensions 1 to 3, not {field.m}")
-        self.m = field.m
+        self.l, self.m = l, field.m
         row = field.sq_distances_from(l)
         row[l - 1] = np.inf  # l is not its own candidate: it sorts last
         order = np.argsort(row)[:-1]
@@ -511,31 +470,29 @@ class _Search:
         """Number of candidates strictly within ``radius``."""
         return int(np.searchsorted(self.sq_to_l, radius * radius, side="left"))
 
-    def first_inside(self, n_c: int, n_old: int = 0):
-        """First strictly containing (m+1)-subset of the first n_c candidates
-        and l's barycentric weights in it, or None.
+    def first_inside(self, radius: float, n_old: int = 0):
+        """First strictly containing (m+1)-subset of the candidates within
+        ``radius`` and l's barycentric weights in it, or None.
 
         Candidate subsets are ordered by (max pairwise distance, lexicographic
         ids): tight cells first, deterministic throughout. Only subsets
         holding a candidate of index n_old or more count, since every other
-        one failed in an earlier round, and only those whose directions from
-        l surround it within the slack of ``_slack`` reach the kernel; the
-        rest provably fail it. A round in which no subset can surround l (in
-        3-D: in which ``_pivots`` finds none) is skipped whole. The kernel
-        pass that accepts the subset also gives the weights, from the same
-        volumes.
+        one failed in an earlier round. Every subset the kernel accepts has
+        a vertex among the pivots of ``_pivots``, so a round with none is
+        skipped whole, and the others walk only the subsets through a pivot
+        (``_pivot_walk``), for m = 1, 2 and 3 alike. Of those, only subsets
+        whose directions from l surround it within the slack of ``_slack``
+        reach the kernel; the rest provably fail it. The kernel pass that
+        accepts the subset also gives the weights, from the same volumes.
 
-        m = 1 and 2 walk candidate pairs by length, a block at a time that
-        never splits a run of equal lengths; each pair closes the subsets in
-        which it is a longest edge, and each block's subsets are sorted. In
-        the plane, one angle sort (``_planar_round``) decides the skip and
-        gives each edge's third vertices, the arc opposite it. In 3-D the
-        walk runs through the pivots of ``_pivots`` (``_pivot_walk``).
-
-        Each call builds its own n_c x n_c squared-distance table; its
-        arrays stay within ``_round_bytes(n_c, m)``.
+        Each call builds its own n_c x n_c squared-distance table. Its
+        arrays stay within ``_round_bytes(n_c, m, k)`` for k pivots, which
+        is checked against ``_SETUP_BYTES`` before the table is built and
+        again once k is known.
         """
-        m, pts, sq_to_l = self.m, self._pts[:n_c], self.sq_to_l[:n_c]
+        m, n_c = self.m, self.count(radius)
+        _check_round_bytes(self.l, radius, n_c, m)
+        pts, sq_to_l = self._pts[:n_c], self.sq_to_l[:n_c]
         diffs = np.empty((n_c, n_c, m))
         for k in range(m):  # a coordinate at a time: broadcasting over a short last axis is slow
             np.subtract.outer(pts[:, k], pts[:, k], out=diffs[:, :, k])
@@ -543,75 +500,11 @@ class _Search:
         sq_cand = np.einsum("ijk,ijk->ij", diffs, diffs)
         del diffs
         coords, frame_err = _local_frame(sq_cand, sq_to_l, m)
-        sq_reach = float(sq_to_l[-1])
-        if m == 3:
-            pivots = _pivots(coords, frame_err)
-            if not pivots.size:
-                return None
-            return self._pivot_walk(sq_cand, coords, pivots, n_old, sq_reach, frame_err)
-        round_slack = float(_slack(sq_cand.max(), sq_reach, m, frame_err))
-        if m == 1:
-            x, tol = coords[:, 0], 1.001 * round_slack
-            if (x > tol).all() or (x < -tol).all():  # l lies beyond every candidate
-                return None
-        else:
-            planar = _planar_round(coords, round_slack)
-            if planar is None:
-                return None
-            arcs, by_angle = planar
-            dist = np.sqrt(sq_to_l)
-        first, second = np.triu_indices(n_c, 1)
-        length = sq_cand[first, second]
-        by_length = np.argsort(length)
-        first, second, length = first[by_length], second[by_length], length[by_length]
-        del by_length
-        # batches double from 64 pairs, up to 2^16 planar edges (each batch
-        # then cut at _PAIR_BUDGET third vertices) or _PAIR_BUDGET / n_c pairs on a line
-        cap = max(16, 1 << 16 if m == 2 else _PAIR_BUDGET // n_c)
-        start, batch = 0, min(64, cap)
-        while start < length.size:
-            stop = _tie_end(length, start + batch)
-            ei, ej, diam = first[start:stop], second[start:stop], length[start:stop]
-            slack = _slack(diam, sq_reach, m, frame_err)
-            fresh = ej >= n_old  # whether a state holds a new candidate; ei < ej
-            if m == 1:
-                verts, s, q = ei[:, None], np.arange(ei.size), ej
-            else:
-                verts = np.stack([ei, ej], axis=1)
-                wide, lo, count = arcs(ei, ej, slack)
-                # a wide edge's third vertex lies within sqrt(diam) of both
-                # ends, so it is no farther from l than the nearer end plus
-                # sqrt(diam) (up to rounding), and it is new if both ends are old
-                w = np.flatnonzero(wide)
-                lo[w] = np.where(fresh[w], 0, n_old)
-                reach = (np.minimum(dist[ei[w]], dist[ej[w]]) + np.sqrt(diam[w])) * (1.0 + 1e-9)
-                count[w] = np.maximum(np.searchsorted(dist, reach, side="right") - lo[w], 0)
-                total = np.cumsum(count)
-                if total[-1] > _PAIR_BUDGET:
-                    # leave the edges past the budget to the next batch
-                    stop = _tie_end(length, start + int(np.searchsorted(total, _PAIR_BUDGET)) + 1)
-                    cut = stop - start
-                    ei, ej, diam, slack, verts, fresh = (x[:cut] for x in (ei, ej, diam, slack, verts, fresh))
-                    wide, lo, count, total = wide[:cut], lo[:cut], count[:cut], total[:cut]
-                s = np.repeat(np.arange(count.size), count)
-                k = lo[s] + np.arange(s.size) - np.repeat(total - count, count)
-                q = np.where(wide[s], k, by_angle[k % n_c])
-                ok = (sq_cand[ei[s], q] <= diam[s]) & (sq_cand[ej[s], q] <= diam[s])
-                ok &= (q != ei[s]) & (q != ej[s])
-                s, q = s[ok], q[ok]
-            start, batch = stop, min(2 * batch, cap)
-            keep = fresh[s] | (q >= n_old)
-            if not keep.any():
-                continue
-            states, s = np.unique(s[keep], return_inverse=True)
-            verts, diam, slack, q = verts[states], diam[states], slack[states], q[keep]
-            keep = _surrounds(coords, verts, s, q, slack[s])
-            s, q = s[keep], q[keep]
-            if s.size:
-                found = self._first_accepted(sq_cand, np.column_stack([verts[s], q]), diam[s])
-                if found is not None:
-                    return found[1:]
-        return None
+        pivots = _pivots(coords, frame_err)
+        if not pivots.size:
+            return None
+        _check_round_bytes(self.l, radius, n_c, m, pivots.size)
+        return self._pivot_walk(sq_cand, coords, pivots, n_old, float(sq_to_l[-1]), frame_err)
 
     def _first_accepted(self, sq_cand, subsets, diam):
         """The first subset the kernel accepts, in (diameter, ids) order, as
@@ -634,57 +527,66 @@ class _Search:
         return None
 
     def _pivot_walk(self, sq_cand, coords, pivots, n_old, sq_reach, frame_err):
-        """3-D walk: the first containing subset through some pivot.
+        """The first containing subset through some pivot.
 
         Every subset the kernel accepts has a vertex among ``pivots``
         (``_pivots``), so the first accepted subset is the smallest, in
         (diameter, ids) order, of each pivot's first. Pivot v lists the
-        other candidates by distance from v, and a subset through v is
-        walked once, with the member last in that list, at that member's
-        distance: no subset through v of squared diameter D has a member
-        farther than D from v. The (pivot, member) entries of all pivots
-        are walked in order of that distance, ``_PAIR_BUDGET // 8``
-        subsets a batch, and the walk stops at the first entry farther
-        than the best hit's diameter.
+        other candidates o_0, o_1, ... by distance from v. Entry (v, t)
+        closes the C(t, m - 1) subsets made of v, o_t and m - 1 of
+        o_0 ... o_{t-1}, so a subset through v is walked once, with its
+        member last in that list, at that member's distance: no subset
+        through v of squared diameter D has a member farther than D from v.
+        The entries of all pivots are walked in order of that distance,
+        ``_WALK_BATCH`` subsets a batch, and the walk stops at the first
+        entry farther than the best hit's diameter.
         """
-        n = sq_cand.shape[0]
+        m, n = self.m, sq_cand.shape[0]
+        # rows: m - 1 positions; columns: their combinations in order of the
+        # largest, so that the C(t, m - 1) combinations below position t come first
+        if m == 3:
+            combos = np.array(np.tril_indices(n - 1, -1))[::-1]
+        else:
+            combos = np.arange(n - 1)[None, :] if m == 2 else np.zeros((0, 1), dtype=np.intp)
+        per_position = np.searchsorted(combos.max(axis=0, initial=-1), np.arange(n - 1))  # C(t, m - 1)
         others = np.argsort(sq_cand[pivots], axis=1)
         others = others[others != pivots[:, None]].reshape(pivots.size, n - 1)
         dist = np.take_along_axis(sq_cand[pivots], others, axis=1)
-        # entry (pivot row, position t >= 2) closes the subsets {v, o_i, o_j, o_t}, i < j < t
-        row, pos = np.divmod(np.argsort(dist[:, 2:], axis=None), n - 3)
-        pos += 2
-        bound = dist[row, pos]
+        # entries (pivot row, position) in order of distance; positions below m - 1 close no subset
+        entry = np.argsort(dist, axis=None)
+        bound = dist.ravel()[entry]
         del dist
-        # rows before each entry: entry t walks the t (t - 1) / 2 pairs before it
-        rows_before = np.concatenate([[0], np.cumsum(pos * (pos - 1) // 2)])
-        hi, lo = np.tril_indices(n - 1, -1)  # pairs in order of their larger position
-        batch = max(1, _PAIR_BUDGET // 8)
+        rows_before = np.concatenate([[0], np.cumsum(per_position[entry % (n - 1)])])
         best, done = None, 0
         while True:
             todo = rows_before[-1 if best is None else np.searchsorted(bound, best[0], side="right")]
             if done >= todo:
                 return None if best is None else best[1:]
-            g = np.arange(done, min(done + batch, todo))
+            g = np.arange(done, min(done + _WALK_BATCH, todo))
             done += g.size
             e = np.searchsorted(rows_before, g, side="right") - 1
             p = g - rows_before[e]
-            r = row[e]
-            v, a, b, c = pivots[r], others[r, lo[p]], others[r, hi[p]], others[r, pos[e]]
-            diam = np.maximum(np.maximum(bound[e], sq_cand[a, b]), np.maximum(sq_cand[a, c], sq_cand[b, c]))
-            keep = (v >= n_old) | (a >= n_old) | (b >= n_old) | (c >= n_old)
+            r, t = np.divmod(entry[e], n - 1)
+            # the members: the pivot, the m - 1 combined positions and position t
+            cols = [pivots[r], *(others[r, c[p]] for c in combos), others[r, t]]
+            diam = bound[e]  # the pivot's farthest member; the other pairs follow
+            for a, b in combinations(cols[1:], 2):
+                diam = np.maximum(diam, sq_cand[a, b])
+            keep = np.zeros(g.size, dtype=bool)
+            for c in cols:
+                keep |= c >= n_old
             if best is not None:
                 keep &= diam <= best[0]
             if not keep.any():
                 continue
-            # a state is (pivot, pair): the entries of one pivot share its pairs
-            _, first, s = np.unique((r * hi.size + p)[keep], return_index=True, return_inverse=True)
-            v, a, b, c, diam = v[keep], a[keep], b[keep], c[keep], diam[keep]
-            slack = _slack(diam, sq_reach, 3, frame_err)
-            keep = _surrounds(coords, np.column_stack([v, a, b])[first], s, c, slack)
+            # a state is (pivot, combination): the entries of one pivot share its combinations
+            _, first, s = np.unique((r * combos.shape[1] + p)[keep], return_index=True, return_inverse=True)
+            members, diam = np.column_stack([c[keep] for c in cols]), diam[keep]
+            slack = _slack(diam, sq_reach, m, frame_err)
+            keep = _surrounds(coords, members[first, :m], s, members[:, m], slack)
             if not keep.any():
                 continue
-            found = self._first_accepted(sq_cand, np.column_stack([v, a, b, c])[keep], diam[keep])
+            found = self._first_accepted(sq_cand, members[keep], diam[keep])
             if found is not None and (best is None or found[:2] < best[:2]):
                 best = found
 
@@ -710,10 +612,7 @@ def triangulate_sensor(field: SensorField, l: int, r0=None, growth=1.25) -> Tria
     radius, n_old = float(r0), 0
     while True:
         n_c = search.count(radius)
-        found = None
-        if n_c > max(n_old, field.m):
-            _check_round_bytes(l, radius, n_c, field.m)
-            found = search.first_inside(n_c, n_old)
+        found = search.first_inside(radius, n_old) if n_c > max(n_old, field.m) else None
         if found is not None:
             theta, w = found
             return TriangulationSet(l, radius, theta, BarycentricWeights(l, theta, w))
@@ -737,11 +636,7 @@ def can_triangulate(field: SensorField, l: int, r: float) -> bool:
     if l not in field.sensor_ids:
         raise DeploymentError(f"node {l} is not a sensor")
     search = _Search(field, l)
-    n_c = search.count(float(r))
-    if n_c <= field.m:
-        return False
-    _check_round_bytes(l, float(r), n_c, field.m)
-    return search.first_inside(n_c) is not None
+    return search.count(float(r)) > field.m and search.first_inside(float(r)) is not None
 
 
 def sector_sufficiency_check(field: SensorField, l: int, r: float) -> bool:

@@ -188,67 +188,20 @@ def reference_triangulate_sensor(field, l, r0, growth=1.25):
         radius *= growth
 
 
-def reference_hopeless(coords, slack, frame_err=0.0):
-    """Round-skip verdict of set-up as a standalone test, with its own angle sort.
+def reference_hopeless(coords, frame_err=0.0):
+    """Whether set-up may skip a round, as a standalone test.
 
-    m = 1 and 2: True when no subset of the candidate directions ``coords``
-    (rows relative to the sensor) can pass the prefilter with this slack.
-    m = 1: every candidate lies on one side beyond the slack. m = 2: the
-    directions fit in a cone narrower than pi, and a window search over the
-    angles rolled to start past the widest gap finds no near pair with a
-    candidate between its ends and no two chained near pairs.
-    ``deployment._Search`` must skip exactly the rounds this marks.
-
-    m = 3: True when the sensor lies outside the candidates' hull by more
-    than the pivot widening w = 1e-3 R + frame_err / r_min^2 (R, r_min: the
-    farthest and nearest candidate), the distance measured by brute force
-    over every face of up to four candidates. A 3-D round can be skipped
-    only then; ``deployment._pivots`` may miss a few of these rounds.
+    True when the sensor lies outside the hull of the candidate directions
+    ``coords`` (rows relative to the sensor) by more than the pivot
+    widening w = 1e-3 R + frame_err / r_min^2 (R, r_min: the farthest and
+    nearest candidate), the distance measured by brute force over every face
+    of up to four candidates. A round can be skipped only then, and
+    ``deployment._pivots`` skips these rounds, up to rounding at the edge.
     """
-    m = coords.shape[1]
-    if m == 3:
-        r = np.sqrt((coords**2).sum(axis=1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = 1e-3 * r.max() + frame_err / r.min() ** 2
-        return bool(math.isfinite(w) and hull_distance(coords) > w)
-    slack *= 1.001
-    if m == 1:
-        x = coords[:, 0]
-        return bool((x > slack).all() or (x < -slack).all())
-    if m != 2 or not math.isfinite(slack):
-        return False
-    n = coords.shape[0]
-    theta = np.arctan2(coords[:, 1], coords[:, 0])
-    order = np.argsort(theta, kind="stable")
-    th = theta[order]
-    gaps = np.diff(np.append(th, th[0] + 2.0 * math.pi))
-    g = int(np.argmax(gaps))
-    if gaps[g] <= math.pi + 1e-9:
-        return False
-    order = np.roll(order, -(g + 1))
-    th = theta[order]
-    th = np.where(th < th[0], th + 2.0 * math.pi, th)
-    v = coords[order]
-    r = np.hypot(v[:, 0], v[:, 1])
-    with np.errstate(divide="ignore"):
-        window = np.arcsin(np.minimum(slack / (r * r.min()) + 1e-12, 1.0)) + 1e-9
-    pos = np.arange(n)
-    near_end = np.maximum(np.searchsorted(th, th + window, side="right"), pos + 1)
-    far_start = np.maximum(np.searchsorted(th, th + math.pi - window, side="left"), near_end)
-    counts = (near_end - pos - 1) + (n - far_start)
-    if counts.sum() > 16 * n:
-        return False
-    first = np.repeat(pos, counts)
-    k = np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    n_near = np.repeat(near_end - pos - 1, counts)
-    second = np.where(k < n_near, first + 1 + k, np.repeat(far_start, counts) + k - n_near)
-    det = v[first, 0] * v[second, 1] - v[first, 1] * v[second, 0]
-    near = det <= slack
-    if (second[near] - first[near] >= 2).any():
-        return False
-    chained = np.zeros(n + 1, dtype=bool)
-    chained[first[near]] = True
-    return not (chained[:-1] & chained[1:]).any()
+    r = np.sqrt((coords**2).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = 1e-3 * r.max() + frame_err / r.min() ** 2
+    return bool(math.isfinite(w) and hull_distance(coords) > w)
 
 
 def hull_distance(pts):

@@ -358,75 +358,57 @@ class TestWalkBranches:
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE_FIELDS))
     def test_pair_budget_cut_keeps_sets(self, name, monkeypatch):
         field = EQUIVALENCE_FIELDS[name]()
-        calls = []  # (length array, index asked, index returned)
-        walks = []  # prefiltered batches of each 3-D walk
-        tie_end, pivot_walk, surrounds = dep._tie_end, dep._Search._pivot_walk, dep._surrounds
-
-        def spy(length, i):
-            stop = tie_end(length, i)
-            calls.append((length, i, stop))
-            return stop
+        walks = []  # prefiltered batches of each walk
+        pivot_walk, surrounds = dep._Search._pivot_walk, dep._surrounds
 
         def walk_spy(search, *args):
             walks.append(0)
             return pivot_walk(search, *args)
 
         def surrounds_spy(*args):
-            if walks:
-                walks[-1] += 1
+            walks[-1] += 1
             return surrounds(*args)
 
-        # eight third vertices a batch: planar batches are cut after a few
-        # edges; a 3-D batch holds eight subsets
-        monkeypatch.setattr(dep, "_PAIR_BUDGET", 8 if field.m < 3 else 64)
-        monkeypatch.setattr(dep, "_tie_end", spy)
+        # two subsets a batch: walks run several batches in every dimension
+        monkeypatch.setattr(dep, "_WALK_BATCH", 2)
         monkeypatch.setattr(dep._Search, "_pivot_walk", walk_spy)
         monkeypatch.setattr(dep, "_surrounds", surrounds_spy)
         r0 = dep._default_r0(field)
         for l, t in dep.triangulate_all(field).items():
             assert (t.radius, t.neighbor_ids) == reference_triangulate_sensor(field, l, r0)
-        # a cut asks for an end at or before the one its batch already had;
-        # the next batch asks for one past it
-        cuts = sum(a[0] is b[0] and b[1] <= a[2] for a, b in zip(calls, calls[1:]))
-        assert (cuts > 0) == (field.m == 2)
-        assert (max(walks, default=0) > 1) == (field.m == 3)
+        assert max(walks) > 1
 
     def test_pivots_without_the_nearest_hull_point(self, monkeypatch):
-        # when nnls does not converge, the directions away from each candidate
-        # still give a half-space that every accepted subset meets
-        import scipy.optimize
-
+        # without the search for an empty half-space along the hull's nearest
+        # point, the directions away from each candidate still give a
+        # half-space that every accepted subset meets
         field = EQUIVALENCE_FIELDS["spatial-0"]()
         expected = {l: t.neighbor_ids for l, t in dep.triangulate_all(field).items()}
-
-        def no_convergence(*args, **kwargs):
-            raise RuntimeError("Maximum number of iterations reached.")
-
-        monkeypatch.setattr(scipy.optimize, "nnls", no_convergence)
+        monkeypatch.setattr(dep, "_beyond", lambda pts, w: False)
         assert {l: t.neighbor_ids for l, t in dep.triangulate_all(field).items()} == expected
 
     def test_degenerate_frame_round_is_walked(self, monkeypatch):
         field = _collinear_field()
         frames, walked = [], []
-        local_frame, tie_end = dep._local_frame, dep._tie_end
+        local_frame, pivot_walk = dep._local_frame, dep._Search._pivot_walk
 
         def frame_spy(sq_cand, sq_to_l, m):
             coords, frame_err = local_frame(sq_cand, sq_to_l, m)
             frames.append((len(sq_to_l), frame_err))
             return coords, frame_err
 
-        def walk_spy(length, i):
+        def walk_spy(search, *args):
             walked.append(len(frames))
-            return tie_end(length, i)
+            return pivot_walk(search, *args)
 
         monkeypatch.setattr(dep, "_local_frame", frame_spy)
-        monkeypatch.setattr(dep, "_tie_end", walk_spy)
+        monkeypatch.setattr(dep._Search, "_pivot_walk", walk_spy)
         t = dep.triangulate_sensor(field, 4)
         assert (t.radius, t.neighbor_ids) == reference_triangulate_sensor(field, 4, dep._default_r0(field))
         assert {9, 10} & set(t.neighbor_ids)  # the set leaves the line
         flat = [(k, n_c) for k, (n_c, err) in enumerate(frames, 1) if math.isinf(err)]
         assert [n_c for _, n_c in flat] == [4]  # one round: the four candidates on the line
-        assert flat[0][0] in walked  # its pairs were walked, not skipped
+        assert flat[0][0] in walked  # its subsets were walked, not skipped
 
 
 def _random_cases():
@@ -447,11 +429,11 @@ def _near_degenerate_cases():
     for off in (1e-10, 0.0, -1e-10):
         yield np.vstack([tri, extra]), mid + off * normal
     # the sensor outside the triangle alone, within, near and beyond the
-    # slack of edge (0, 1): the near pair across it has a vertex between
+    # slack of edge (0, 1)
     for off in (-1e-7, -1e-5, -1e-4):
         yield tri, mid + off * normal
     # directions 1.5e-5 apart, within the slack (2e-5) of the next one but
-    # not of the one after: two chained near pairs
+    # not of the one after
     fan = 1.5e-5 * np.arange(3)
     yield np.vstack([np.column_stack([np.cos(fan), np.sin(fan)]), [0.0, 1.0]]), np.zeros(2)
     tet = TETRAHEDRON / 6.0
@@ -489,15 +471,14 @@ def _near_degenerate_cases():
 
 def _search_skips(points, l_point):
     """Whether set-up skips the round whose candidates are ``points``, its
-    sensor at ``l_point``: a skipped round walks no candidate pair and, in
-    3-D, tests no subset through a pivot."""
+    sensor at ``l_point``: a skipped round walks no pivot and tests no subset."""
     m = points.shape[1]
     field = dep.SensorField(m, points[: m + 1], np.vstack([points[m + 1 :], l_point]), validate=False)
     search = dep._Search(field, field.n_nodes)
-    with mock.patch.object(dep, "_tie_end", wraps=dep._tie_end) as walk, mock.patch.object(
+    with mock.patch.object(search, "_pivot_walk", wraps=search._pivot_walk) as walk, mock.patch.object(
         dep, "_surrounds", wraps=dep._surrounds
     ) as tested:
-        search.first_inside(search.count(math.inf))
+        search.first_inside(math.inf)
     return not (walk.called or tested.called)
 
 
@@ -516,33 +497,24 @@ def _prefilter_verdicts(points, l_point):
     slack = dep._slack(diam, sq_to_l.max(), m, frame_err)
     rows = np.arange(len(combos))
     passed = dep._surrounds(coords, combos[:, :-1], rows, combos[:, -1], slack)
-    round_slack = float(dep._slack(sq_cand.max(), sq_to_l.max(), m, frame_err))
-    hopeless = reference_hopeless(coords, round_slack, frame_err)
-    skips = _search_skips(points, l_point)
-    if m < 3:
-        assert skips == hopeless
-    else:
-        # every subset the kernel accepts has a vertex in the pivots' half-space,
-        # and the search skips exactly when it holds none, which needs l
-        # outside the candidates' hull by more than the widening
-        pivots = dep._pivots(coords, frame_err)
-        assert np.isin(combos[accepted], pivots).any(axis=1).all()
-        assert skips == (pivots.size == 0)
-        assert hopeless or not skips
-    if m == 2 and not hopeless:
-        # the planar walk draws third vertices from the arc opposite each edge
-        arcs, by_angle = dep._planar_round(coords, round_slack)
-        rank = np.argsort(by_angle)
-        for e0, e1, third in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            wide, lo, count = arcs(combos[:, e0], combos[:, e1], slack)
-            drawn = wide | ((rank[combos[:, third]] - lo) % n < count)
-            assert drawn[passed].all()
+    hopeless = reference_hopeless(coords, frame_err)
+    # every subset the kernel accepts has a vertex in the pivots' half-space,
+    # and the search skips exactly when it holds none, which needs l
+    # outside the candidates' hull by more than the widening
+    pivots = dep._pivots(coords, frame_err)
+    assert np.isin(combos[accepted], pivots).any(axis=1).all()
+    assert _search_skips(points, l_point) == (pivots.size == 0)
+    assert hopeless or pivots.size
     return accepted, passed, hopeless
 
 
 class TestPrefilterConservative:
-    """Every subset the kernel accepts passes the prefilter; no skipped round
-    holds a subset that passes it."""
+    """Every subset the kernel accepts passes the prefilter and has a pivot;
+    a round is skipped exactly when it has no pivot, and only when the
+    sensor lies outside its candidates' hull by more than the widening. The
+    prefilter does not decide the skip: nearly degenerate rounds outside
+    the hull (the collinear case at [5.0, 1.6]) pass subsets the kernel
+    rejects."""
 
     def test_random_small_sets(self):
         counts = np.zeros(3, dtype=int)  # accepted, passed, skipped rounds
@@ -550,11 +522,13 @@ class TestPrefilterConservative:
         for points, l_point in _random_cases():
             accepted, passed, hopeless = _prefilter_verdicts(points, l_point)
             assert not (accepted & ~passed).any()
-            assert not (hopeless and passed.any())
+            assert not (hopeless and accepted.any())
             counts += (accepted.sum(), passed.sum(), hopeless)
-            skipped[points.shape[1]] += _search_skips(points, l_point)
+            skips = _search_skips(points, l_point)
+            assert skips == hopeless  # on generic points, every round that may be skipped is
+            skipped[points.shape[1]] += skips
         # on generic points the prefilter is tight and rounds do get skipped,
-        # in 3-D too
+        # in every dimension
         assert counts[0] > 0 and counts[1] < 2 * counts[0] and counts[2] > 50
         assert min(skipped.values()) > 30
 
@@ -562,7 +536,7 @@ class TestPrefilterConservative:
         for points, l_point in _near_degenerate_cases():
             accepted, passed, hopeless = _prefilter_verdicts(points, l_point)
             assert not (accepted & ~passed).any()
-            assert not (hopeless and passed.any())
+            assert not (hopeless and accepted.any())
 
     def test_skips_only_when_outside_hull(self):
         rng = np.random.default_rng(5)
@@ -618,12 +592,25 @@ class TestPlanarWalkScaling:
         assert 0 < last < n_c**2 < n_c**3 / 100
 
 
-def _duplicate_sensor_field(n, seed):
-    """n sensors in the regular tetrahedron, the last a copy of the first: the
+def _duplicate_sensor_field(anchors, n, seed):
+    """n sensors in the anchor simplex, the last a copy of the first: the
     last sensor's nearest candidate sits on it, so every candidate is a pivot."""
-    w = np.random.default_rng(seed).exponential(size=(n, 4))
-    pts = (w / w.sum(axis=1, keepdims=True)) @ REGULAR_TETRAHEDRON
-    return dep.SensorField(3, REGULAR_TETRAHEDRON, np.vstack([pts, pts[:1]]))
+    w = np.random.default_rng(seed).exponential(size=(n, len(anchors)))
+    pts = (w / w.sum(axis=1, keepdims=True)) @ anchors
+    return dep.SensorField(len(anchors) - 1, anchors, np.vstack([pts, pts[:1]]))
+
+
+def _counting_pivots(monkeypatch):
+    """Patch ``_pivots`` to record the pivot count of every round; returns the list."""
+    counts, pivots = [], dep._pivots
+
+    def spy(coords, frame_err):
+        found = pivots(coords, frame_err)
+        counts.append(found.size)
+        return found
+
+    monkeypatch.setattr(dep, "_pivots", spy)
+    return counts
 
 
 class TestSetUpSize:
@@ -638,20 +625,23 @@ class TestSetUpSize:
         with pytest.raises(dep.UnsupportedDimensionError):
             dep.can_triangulate(field, 6, 10.0)
 
-    @pytest.mark.parametrize("name", ["demo", "spatial-0"])
+    @pytest.mark.parametrize("name", ["demo", "spatial-0", "line"])
     def test_round_past_budget_raises(self, name, monkeypatch):
         field = EQUIVALENCE_FIELDS[name]()
         l = field.m + 2
+        counts = _counting_pivots(monkeypatch)
         t = dep.triangulate_sensor(field, l)
-        n_c = dep._Search(field, l).count(t.radius)
-        # the round that found the set is the first with n_c candidates
-        monkeypatch.setattr(dep, "_SETUP_BYTES", dep._round_bytes(n_c, field.m) - 1)
+        n_c, k = dep._Search(field, l).count(t.radius), counts[-1]
+        # the round that found the set is the first with n_c candidates: its
+        # table is checked before it is built, its walk once its k pivots are known
         message = rf"sensor {l}: the set-up round at radius {t.radius:.6g} over {n_c} candidates"
-        with pytest.raises(dep.DeploymentError, match=message):
-            dep.triangulate_sensor(field, l)
-        with pytest.raises(dep.DeploymentError, match=message):
-            dep.can_triangulate(field, l, t.radius)
-        monkeypatch.setattr(dep, "_SETUP_BYTES", dep._round_bytes(n_c, field.m))
+        for budget in (dep._round_bytes(n_c, field.m) - 1, dep._round_bytes(n_c, field.m, k) - 1):
+            monkeypatch.setattr(dep, "_SETUP_BYTES", budget)
+            with pytest.raises(dep.DeploymentError, match=message):
+                dep.triangulate_sensor(field, l)
+            with pytest.raises(dep.DeploymentError, match=message):
+                dep.can_triangulate(field, l, t.radius)
+        monkeypatch.setattr(dep, "_SETUP_BYTES", dep._round_bytes(n_c, field.m, k))
         again = dep.triangulate_sensor(field, l)
         assert (again.radius, again.neighbor_ids) == (t.radius, t.neighbor_ids)
 
@@ -659,29 +649,59 @@ class TestSetUpSize:
         "make, sensors",
         [
             # the boundary sensor with the largest radius of a planar density-6
-            # field walks all 253 candidates' pairs in its last round
+            # field reaches an anchor in its last round, over 253 candidates
             (lambda: dep.generate_poisson_field(2, 6.0, FIFTY_NODE_ANCHORS, seed=3), [191]),
             (EQUIVALENCE_FIELDS["spatial-bench"], [5, 11, 23]),
-            (lambda: _duplicate_sensor_field(24, 1), [29]),
+            (lambda: _duplicate_sensor_field(FIFTY_NODE_ANCHORS, 60, 1), [63]),
+            (lambda: _duplicate_sensor_field(REGULAR_TETRAHEDRON, 24, 1), [29]),
         ],
-        ids=["planar", "spatial", "every-candidate-a-pivot"],
+        ids=["planar", "spatial", "planar-every-candidate-a-pivot", "every-candidate-a-pivot"],
     )
     def test_round_bytes_bound_the_arrays(self, make, sensors, monkeypatch):
-        # small batches, so that the n_c^2 terms carry the bound in 3-D
-        monkeypatch.setattr(dep, "_PAIR_BUDGET", 256)
+        # small batches, so that the n_c^2 and k n_c terms carry the bound
+        monkeypatch.setattr(dep, "_WALK_BATCH", 32)
         monkeypatch.setattr(dep, "_KERNEL_BATCH", 16)
+        counts = _counting_pivots(monkeypatch)
         field = make()
         for l in sensors:
             search = dep._Search(field, l)
             for n_c in (field.m + 2, field.n_nodes // 2, field.n_nodes - 1):
+                radius = 1.000001 * math.sqrt(search.sq_to_l[n_c - 1])
                 tracemalloc.start()
                 try:
                     base = tracemalloc.get_traced_memory()[0]
-                    search.first_inside(n_c)
+                    search.first_inside(radius)
                     peak = tracemalloc.get_traced_memory()[1] - base
                 finally:
                     tracemalloc.stop()
-                assert 0 < peak <= dep._round_bytes(n_c, field.m)
+                assert 0 < peak <= dep._round_bytes(search.count(radius), field.m, counts[-1])
+
+
+class TestCoincidentSensors:
+    """A sensor's coincident twin sits on it: every candidate is then a
+    pivot, and the twin sets no scale for the default r0."""
+
+    def test_twin_in_a_degenerate_frame(self):
+        # sensor 5's candidates up to radius 2 are its twin and three points
+        # on one line through it: a degenerate frame with a candidate at l
+        anchors = np.array([[0.0, 0.0, 0.0], [16.0, 0.0, 0.0], [0.0, 16.0, 0.0], [0.0, 0.0, 16.0]])
+        sensors = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [2.0, 1.0, 1.0], [3.0, 1.0, 1.0], [4.0, 4.0, 3.0]])
+        field = dep.SensorField(3, anchors, sensors)
+        t = dep.triangulate_sensor(field, 5, r0=0.5)
+        assert (t.radius, t.neighbor_ids) == reference_triangulate_sensor(field, 5, 0.5)
+
+    def test_twin_heavy_field_has_a_default_r0(self):
+        # every sensor has a twin, and the twins lie on a line through an anchor
+        field = dep.SensorField(2, RIGHT_ANCHORS, np.array([[0.2, 0.2], [0.2, 0.2], [0.3, 0.3], [0.3, 0.3]]))
+        r0 = dep._default_r0(field)
+        assert r0 == pytest.approx(math.hypot(0.1, 0.1) / 2.0)
+        for l, t in dep.triangulate_all(field).items():
+            assert (t.radius, t.neighbor_ids) == reference_triangulate_sensor(field, l, r0)
+
+    def test_all_nodes_coincide(self):
+        field = dep.SensorField(2, np.zeros((3, 2)), np.zeros((2, 2)), validate=False)
+        with pytest.raises(dep.DeploymentError, match="coincide"):
+            dep._default_r0(field)
 
 
 class TestSectorCheck:

@@ -340,6 +340,19 @@ def _build_field(cfg: ExperimentConfig, seed: int) -> dep.SensorField:
     return field
 
 
+def _check_snapshot_bytes(cfg: ExperimentConfig, M: int, m: int):
+    """ConfigInvalidError when the run's snapshots could hold more than the
+    set-up round budget ``deployment._SETUP_BYTES``: 8 M m bytes each, one
+    every ``snapshot_stride`` steps and one at the end (one in all at stride 0)."""
+    stride, max_iters = cfg["snapshot_stride"], cfg["stop.max_iters"]
+    need = 8 * M * m * (max_iters // stride + 1 if stride else 1)
+    if need > dep._SETUP_BYTES:
+        raise ConfigInvalidError(
+            f"snapshots of {M} sensors every {stride} of {max_iters} steps could hold {need} bytes, "
+            f"past the budget of {dep._SETUP_BYTES}; raise snapshot_stride or lower stop.max_iters"
+        )
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None) -> dict:
     """Execute one seeded run and write trace, summary and plot data.
 
@@ -351,6 +364,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None) -> d
     field = _build_field(cfg, seed)
     if field.n_sensors == 0:
         raise ConfigInvalidError("field holds no sensors; nothing to localize")
+    _check_snapshot_bytes(cfg, field.n_sensors, field.m)
     tris = dep.triangulate_all(field)
     sys_m = sysm.build_system_matrices(field, tris)
     anchors = sysm.AnchorBlock(field.anchor_block())

@@ -99,6 +99,10 @@ class SensorField:
         return range(self.m + 2, self.n_nodes + 1)
 
     def _check_invariants(self):
+        # a nan fails every test below, and a nan distance never falls in a set-up radius
+        bad = np.flatnonzero(~np.isfinite(self._all_coords).all(axis=1))
+        if bad.size:
+            raise DeploymentError(f"node {bad[0] + 1} has a non-finite coordinate")
         _simplex_volume(self.anchor_coords, self.m)
         if self.n_sensors:
             w = self._anchor_barycentric(self._sensor_coords)
@@ -215,12 +219,14 @@ def _default_r0(field: SensorField) -> float:
     return r0
 
 
-def _local_frame(sq_cand: np.ndarray, sq_to_l: np.ndarray, m: int):
+def _local_frame(column, sq_to_l: np.ndarray, m: int):
     """Coordinates of the candidates relative to sensor l, from distances alone.
 
     Pivoted Cholesky of the l-centred Gram matrix
     G_ab = (|la|^2 + |lb|^2 - |ab|^2) / 2, stopped after m pivots: an exact
     isometric image of the vectors from l when the distances are exact.
+    ``column(p)`` gives the squared distances from candidate p to every
+    candidate; only the m pivots' columns are read.
     Returns the (n, m) coordinates and a bound on the error of any m x m
     determinant of their rows. Entries of G err by at most ~24 u R^2 (u the
     machine epsilon, R the farthest candidate), coordinate j amplifies that by 3 R / h_j for pivot
@@ -238,9 +244,11 @@ def _local_frame(sq_cand: np.ndarray, sq_to_l: np.ndarray, m: int):
         h_sq = float(resid[p])
         if not h_sq > 0.0:
             return coords, math.inf
-        col = (sq_to_l + sq_to_l[p] - sq_cand[:, p]) / 2.0 - coords[:, :j] @ coords[p, :j]
+        col = (sq_to_l + sq_to_l[p] - column(p)) / 2.0
+        if j:  # the first column has no earlier ones to take off
+            col -= coords[:, :j] @ coords[p, :j]
         coords[:, j] = col / math.sqrt(h_sq)
-        resid = resid - coords[:, j] ** 2
+        resid -= coords[:, j] ** 2
         amplification *= 3.0 * r / math.sqrt(h_sq)
     eps = np.finfo(float).eps
     return coords, 2400.0 * m * math.factorial(m) * eps * r**m * amplification
@@ -342,14 +350,14 @@ def _beyond(pts: np.ndarray, w: float) -> bool:
     """
     sq = np.einsum("ij,ij->i", pts, pts)
     corral, weights = [int(np.argmin(sq))], np.ones(1)
-    x = pts[corral[0]]
+    x, stall = pts[corral[0]], 1e-12 * float(sq.max())
     for _ in range(8 * pts.shape[1] + 8):
         along = pts @ x
         j = int(np.argmin(along))
         xx = float(x @ x)
         if along[j] > w * math.sqrt(xx):
             return True
-        if xx <= w * w or xx - along[j] <= 1e-12 * float(sq.max()) or j in corral:
+        if xx <= w * w or xx - along[j] <= stall or j in corral:
             return False
         corral.append(j)
         weights = np.append(weights, 0.0)
@@ -378,6 +386,38 @@ def _beyond(pts: np.ndarray, w: float) -> bool:
     return False
 
 
+def _sweep(coords: np.ndarray, w: float):
+    """``_beyond``'s answer where the candidates' directions alone give it:
+    False when they show l inside the candidates' hull, True when they show
+    a half-space through l, widened by w, that holds no candidate, and None
+    when they show neither.
+
+    On a line: inside when candidates lie on both sides of l. In the plane,
+    from the angles around l, sorted (the angular sweep of Rousseeuw & Ruts,
+    "Algorithm AS 307", 1996): inside when no gap between consecutive
+    directions reaches pi, less a margin of 1e-9 for the rounding of the
+    angles, since every open half-plane through l then holds a candidate;
+    outside when the widest gap passes pi and every candidate lies more
+    than w behind the direction that halves it. In 3-D: None.
+    """
+    m = coords.shape[1]
+    if m == 1:
+        return False if coords.min() < 0.0 < coords.max() else None
+    if m > 2:
+        return None
+    angle = np.sort(np.arctan2(coords[:, 1], coords[:, 0]))
+    ring = np.append(angle, angle[0] + 2.0 * math.pi)
+    gaps = ring[1:] - ring[:-1]
+    i = int(np.argmax(gaps))
+    gap = float(gaps[i])
+    if gap < math.pi - 1e-9:
+        return False
+    mid = float(angle[i]) + gap / 2.0
+    if gap > math.pi and float((coords @ np.array([math.cos(mid), math.sin(mid)])).max()) < -w:
+        return True
+    return None
+
+
 def _pivots(coords: np.ndarray, frame_err: float) -> np.ndarray:
     """Pivots of a round: the candidates in a closed half-space through l,
     widened so that every subset the kernel accepts has one; none when the
@@ -388,8 +428,9 @@ def _pivots(coords: np.ndarray, frame_err: float) -> np.ndarray:
     H = {x : u.x >= -w} for a unit vector u, taken as the one whose H holds
     the fewest candidates among the directions away from each candidate
     (on a line: the side of l with fewer candidates). When each of those
-    holds one, ``_beyond`` looks for a u whose H holds none, which exists
-    exactly when l lies outside the candidates' hull by more than w.
+    holds one, a u whose H holds none exists exactly when l lies outside
+    the candidates' hull by more than w. ``_sweep`` answers that from the
+    candidates' directions where it can, ``_beyond`` elsewhere.
 
     With vertices p_i and l's barycentric weights b_i, sum b_i (u.p_i) = 0;
     if every u.p_i < -w, the negative weights sum to at least w / R (R: the
@@ -402,13 +443,18 @@ def _pivots(coords: np.ndarray, frame_err: float) -> np.ndarray:
     verdict is noise.
     """
     r = np.sqrt(np.einsum("ij,ij->i", coords, coords))
-    if not math.isfinite(frame_err) or r.min() == 0.0:  # a degenerate frame or a candidate at l
+    r_min = float(r.min())
+    if not math.isfinite(frame_err) or r_min == 0.0:  # a degenerate frame or a candidate at l
         return np.arange(len(coords))
-    w = 1e-3 * float(r.max()) + frame_err / float(r.min()) ** 2
+    w = 1e-3 * float(r.max()) + frame_err / r_min**2
     inside = -coords / r[:, None] @ coords.T >= -w
     counts = inside.sum(axis=1)
-    if counts.min() and _beyond(coords, w):
-        return np.arange(0)
+    if counts.min():
+        beyond = _sweep(coords, w)
+        if beyond is None:
+            beyond = _beyond(coords, w)
+        if beyond:
+            return np.arange(0)
     return np.flatnonzero(inside[int(np.argmin(counts))])
 
 
@@ -421,18 +467,53 @@ def _round_bytes(n_c: int, m: int, k: int = 0) -> int:
     """Most bytes the arrays of one set-up round over n_c candidates hold at
     once, given k pivots (0 before ``_pivots`` has counted them).
 
-    The squared-distance table holds 8 n_c^2 throughout. Besides it,
+    The squared-distance table holds 8 n_c^2 once built. Besides it,
     building it holds the 8 m n_c^2 coordinate differences, and ``_pivots``
-    one float and one bool per (direction, candidate), 9 n_c^2. The walk
-    holds its table of the C(n_c - 1, m - 1) combinations of m - 1
-    positions and at most 40 bytes per (pivot, candidate) in the pivots'
-    lists. A batch adds at most 1 KiB per subset (_WALK_BATCH) and 4 KiB
-    per subset of a kernel call (_KERNEL_BATCH). The same form holds for
-    every m, and k = n_c bounds any round.
+    (before the table) one float and one bool per (direction, candidate),
+    9 n_c^2. The ordered walk holds its table of the C(n_c - 1, m - 1)
+    combinations of m - 1 positions and at most 40 bytes per (pivot,
+    candidate) in the pivots' lists; the one-batch walk reads the shared
+    tables of ``_colex`` and holds 8 bytes per (pivot, candidate). A batch
+    adds at most 1 KiB per subset (_WALK_BATCH) and 4 KiB per subset of a
+    kernel call (_KERNEL_BATCH). The same form holds for every m, and
+    k = n_c bounds any round.
     """
     before_walk = 8 * max(m, 2) * n_c * n_c
     walk = 8 * (m - 1) * math.comb(n_c - 1, m - 1) + 40 * k * n_c
     return 8 * n_c * n_c + max(before_walk, walk) + 1024 * _WALK_BATCH + 4096 * _KERNEL_BATCH
+
+
+@functools.lru_cache(maxsize=None)
+def _colex(m: int, rows: int):
+    """The m-combinations of positions 0, 1, 2, ... in colex order (by the
+    largest member, then by the rest in colex order), as many whole as fit
+    in ``rows``, and the row each one's first m - 1 members fill in the
+    (m - 1)-table. The combinations of positions below n are the first
+    C(n, m) rows, for every n the table covers.
+
+    Built once per (m, rows), in the smallest integer types that hold it,
+    since it stays in memory; read-only, since every caller shares it.
+    ``_batch_walk`` asks for powers of 4 up to ``_WALK_BATCH`` rows, so a
+    field of small rounds keeps small tables.
+    """
+    if m == 0:
+        table, rank = np.zeros((1, 0), dtype=np.uint8), np.zeros(1, dtype=np.uint8)
+    else:
+        lo, hi = m, m + rows  # the most positions n with C(n, m) <= rows, by bisection
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if math.comb(mid, m) <= rows else (lo, mid)
+        top = np.arange(m - 1, lo, dtype=np.min_scalar_type(lo - 1))
+        per_top = np.ones(top.size, dtype=np.uint32)  # C(t, m - 1) rows close at largest member t
+        for i in range(m - 1):
+            per_top *= top - i
+        per_top //= math.factorial(m - 1)
+        first = np.cumsum(per_top, dtype=np.uint32) - per_top
+        rank = np.arange(math.comb(lo, m), dtype=np.uint32) - np.repeat(first, per_top)
+        table = np.column_stack([_colex(m - 1, rows)[0][rank], np.repeat(top, per_top)]).astype(top.dtype)
+        rank = rank.astype(np.min_scalar_type(rank[-1]))
+    table.flags.writeable = rank.flags.writeable = False
+    return table, rank
 
 
 def _check_round_bytes(l: int, radius: float, n_c: int, m: int, k: int = 0):
@@ -442,6 +523,15 @@ def _check_round_bytes(l: int, radius: float, n_c: int, m: int, k: int = 0):
             f"sensor {l}: the set-up round at radius {radius:.6g} over {n_c} candidates "
             f"needs up to {need} bytes, past the budget of {_SETUP_BYTES}"
         )
+
+
+def _through(pivots: np.ndarray, others: np.ndarray, combos: np.ndarray) -> np.ndarray:
+    """Rows (pivot, its others at the positions of one row of ``combos``),
+    pivot by pivot: ``others[r]`` lists the other candidates of pivot r."""
+    rows = np.empty((pivots.size, len(combos), combos.shape[1] + 1), dtype=np.intp)
+    rows[:, :, 0] = pivots[:, None]
+    rows[:, :, 1:] = others[:, combos]
+    return rows.reshape(-1, combos.shape[1] + 1)
 
 
 class _Search:
@@ -465,6 +555,8 @@ class _Search:
         self.ids = order + 1
         self.sq_to_l = row[order]
         self._pts = field._all_coords[order]
+        self._index = np.empty(order.size + 2, dtype=np.intp)  # node id -> candidate index
+        self._index[self.ids] = np.arange(order.size)
 
     def count(self, radius: float) -> int:
         """Number of candidates strictly within ``radius``."""
@@ -479,45 +571,53 @@ class _Search:
         holding a candidate of index n_old or more count, since every other
         one failed in an earlier round. Every subset the kernel accepts has
         a vertex among the pivots of ``_pivots``, so a round with none is
-        skipped whole, and the others walk only the subsets through a pivot
-        (``_pivot_walk``), for m = 1, 2 and 3 alike. Of those, only subsets
+        skipped whole, and the others walk only the subsets through a pivot,
+        for m = 1, 2 and 3 alike: all at once (``_batch_walk``) when they fit
+        one batch, in order (``_pivot_walk``) when not. Of those, only subsets
         whose directions from l surround it within the slack of ``_slack``
         reach the kernel; the rest provably fail it. The kernel pass that
         accepts the subset also gives the weights, from the same volumes.
 
-        Each call builds its own n_c x n_c squared-distance table. Its
+        A round builds its n_c x n_c squared-distance table only when it is
+        walked; the frame reads m of its columns, measured on their own. Its
         arrays stay within ``_round_bytes(n_c, m, k)`` for k pivots, which
-        is checked against ``_SETUP_BYTES`` before the table is built and
+        is checked against ``_SETUP_BYTES`` before the frame is built and
         again once k is known.
         """
         m, n_c = self.m, self.count(radius)
         _check_round_bytes(self.l, radius, n_c, m)
         pts, sq_to_l = self._pts[:n_c], self.sq_to_l[:n_c]
-        diffs = np.empty((n_c, n_c, m))
-        for k in range(m):  # a coordinate at a time: broadcasting over a short last axis is slow
-            np.subtract.outer(pts[:, k], pts[:, k], out=diffs[:, :, k])
-        # einsum's own order of addition: a plain sum of squares rounds some 3-D entries differently
-        sq_cand = np.einsum("ijk,ijk->ij", diffs, diffs)
-        del diffs
-        coords, frame_err = _local_frame(sq_cand, sq_to_l, m)
+
+        def column(p):
+            diff = pts - pts[p]
+            return np.einsum("ij,ij->i", diff, diff)
+
+        coords, frame_err = _local_frame(column, sq_to_l, m)
         pivots = _pivots(coords, frame_err)
         if not pivots.size:
             return None
         _check_round_bytes(self.l, radius, n_c, m, pivots.size)
-        return self._pivot_walk(sq_cand, coords, pivots, n_old, float(sq_to_l[-1]), frame_err)
+        diffs = np.empty((n_c, n_c, m))
+        for k in range(m):  # a coordinate at a time: broadcasting over a short last axis is slow
+            np.subtract.outer(pts[:, k], pts[:, k], out=diffs[:, :, k])
+        # einsum's own order of addition, as in ``column``: a plain sum of
+        # squares rounds some 3-D entries differently
+        sq_cand = np.einsum("ijk,ijk->ij", diffs, diffs)
+        del diffs
+        walk = self._batch_walk if pivots.size * math.comb(n_c - 1, m) <= _WALK_BATCH else self._pivot_walk
+        return walk(sq_cand, coords, pivots, n_old, float(sq_to_l[-1]), frame_err)
 
     def _first_accepted(self, sq_cand, subsets, diam):
         """The first subset the kernel accepts, in (diameter, ids) order, as
         (diameter, ids, weights), or None. Rows of ``subsets`` are candidate
         indices, in any order and possibly repeated."""
-        by_id = np.argsort(self.ids[subsets], axis=1)
-        subsets = np.take_along_axis(subsets, by_id, axis=1)
-        key = self.ids[subsets]
-        rank = np.lexsort(tuple(key[:, ::-1].T) + (diam,))
-        subsets, key, diam = subsets[rank], key[rank], diam[rank]
+        key = np.sort(self.ids[subsets], axis=1)
+        rank = np.lexsort((*key.T[::-1], diam))
+        key, diam = key[rank], diam[rank]
         distinct = np.ones(len(key), dtype=bool)
         distinct[1:] = (key[1:] != key[:-1]).any(axis=1)
-        subsets, key, diam = subsets[distinct], key[distinct], diam[distinct]
+        key, diam = key[distinct], diam[distinct]
+        subsets = self._index[key]  # the members in id order, as candidate indices
         for lo in range(0, len(subsets), _KERNEL_BATCH):
             chunk = subsets[lo : lo + _KERNEL_BATCH]
             inside, weights = batch_strict_inclusion(sq_cand, self.sq_to_l, chunk, self.m)
@@ -525,6 +625,47 @@ class _Search:
                 i = lo + int(np.argmax(inside))
                 return float(diam[i]), tuple(int(k) for k in key[i]), weights[0].copy()
         return None
+
+    def _test(self, sq_cand, coords, members, diam, verts, s, sq_reach, frame_err):
+        """``_first_accepted`` among the subsets ``members`` that surround l
+        within the slack of their diameters ``diam``. Row i of ``members``
+        holds the m vertices ``verts[s[i]]`` and, last, one more."""
+        slack = _slack(diam, sq_reach, self.m, frame_err)
+        keep = _surrounds(coords, verts, s, members[:, -1], slack)
+        return self._first_accepted(sq_cand, members[keep], diam[keep]) if keep.any() else None
+
+    def _batch_walk(self, sq_cand, coords, pivots, n_old, sq_reach, frame_err):
+        """The first containing subset through some pivot, for a round whose
+        subsets through the pivots fit one batch of ``_pivot_walk``.
+
+        One batch has no walking order to keep, so each pivot's subsets come
+        straight from the combination table of ``_colex``: the pivot and m
+        of its other candidates, taken in index order. A state is a pivot
+        and the first m - 1 of those, so its row follows from the
+        combination's own rank in the (m - 1)-table.
+        """
+        m, n, k = self.m, sq_cand.shape[0], pivots.size
+        size, states = math.comb(n - 1, m), math.comb(n - 2, m - 1)
+        rows = 4
+        while rows < size:
+            rows *= 4
+        rows = min(rows, _WALK_BATCH)  # still >= size, since k size <= _WALK_BATCH
+        table, rank = _colex(m, rows)
+        position = np.arange(n - 1)
+        others = position + (position >= pivots[:, None])  # (pivot, position) -> candidate
+        members = _through(pivots, others, table[:size])
+        s = (states * np.arange(k)[:, None] + rank[:size]).ravel()
+        if n_old:
+            # the last member is the pivot's other candidate of highest index
+            keep = (members[:, 0] >= n_old) | (members[:, -1] >= n_old)
+            if not keep.any():
+                return None
+            members, s = members[keep], s[keep]
+        pairs = combinations(range(m + 1), 2)
+        diam = functools.reduce(np.maximum, (sq_cand[members[:, a], members[:, b]] for a, b in pairs))
+        verts = _through(pivots, others, _colex(m - 1, rows)[0][:states])
+        found = self._test(sq_cand, coords, members, diam, verts, s, sq_reach, frame_err)
+        return None if found is None else found[1:]
 
     def _pivot_walk(self, sq_cand, coords, pivots, n_old, sq_reach, frame_err):
         """The first containing subset through some pivot.
@@ -582,11 +723,7 @@ class _Search:
             # a state is (pivot, combination): the entries of one pivot share its combinations
             _, first, s = np.unique((r * combos.shape[1] + p)[keep], return_index=True, return_inverse=True)
             members, diam = np.column_stack([c[keep] for c in cols]), diam[keep]
-            slack = _slack(diam, sq_reach, m, frame_err)
-            keep = _surrounds(coords, members[first, :m], s, members[:, m], slack)
-            if not keep.any():
-                continue
-            found = self._first_accepted(sq_cand, members[keep], diam[keep])
+            found = self._test(sq_cand, coords, members, diam, members[first, :m], s, sq_reach, frame_err)
             if found is not None and (best is None or found[:2] < best[:2]):
                 best = found
 

@@ -11,6 +11,7 @@ All functions are pure; there is no shared mutable state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -183,7 +184,20 @@ _NOT_REALIZABLE = (
 )
 
 
-def _cm_volumes(tables: np.ndarray):
+@functools.lru_cache(maxsize=None)
+def _sub_table_index(n: int):
+    """Row and column index arrays that cut the n sub-tables of n - 1 points,
+    point j dropped from sub-table j, out of an n x n table.
+
+    Built once per size; read-only, since every caller shares them.
+    """
+    keep = np.array([[j for j in range(n) if j != i] for i in range(n)]).reshape(n, n - 1)
+    rows, cols = keep[:, :, None], keep[:, None, :]
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _cm_volumes(tables: np.ndarray, flag: bool = True):
     """Cayley-Menger volumes of a stack of local squared-distance tables.
 
     ``tables`` has shape (K, m+2, m+2): point 0 is the sensor, points 1..m+1
@@ -197,21 +211,23 @@ def _cm_volumes(tables: np.ndarray):
     volumes (K,), the replacement volumes (K, m+1) and flags (K, m+2) marking
     squared volumes below -VOLUME_TOL in units of their own sub-table's
     largest entry (distances not embeddable in R^m); those volumes read 0.
+    With ``flag`` false the flags are None.
     """
     n = tables.shape[-1]
     m = n - 2
     scale = tables.max(axis=(1, 2))
     tables = tables / np.where(scale == 0.0, 1.0, scale)[:, None, None]
-    keep = np.array([[j for j in range(n) if j != i] for i in range(n)])
-    subs = tables[:, keep[:, :, None], keep[:, None, :]]  # (K, m+2, m+1, m+1)
+    rows, cols = _sub_table_index(n)
+    subs = tables[:, rows, cols]  # (K, m+2, m+1, m+1)
     bordered = np.ones(subs.shape[:2] + (n, n))
     bordered[..., 0, 0] = 0.0
     bordered[..., 1:, 1:] = subs
     sq_vol = np.linalg.det(bordered) / cm_coefficient(m)
     sub_scale = subs.max(axis=(2, 3))
     spans = sub_scale > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bad = spans & (sq_vol / sub_scale**m < -VOLUME_TOL)
+    # sq_vol / sub_scale^m < -VOLUME_TOL, multiplied out: no division by a
+    # vanishing scale (which reads False through spans anyway)
+    bad = spans & (sq_vol < -VOLUME_TOL * sub_scale**m) if flag else None
     vol = np.where(spans, np.sqrt(np.clip(sq_vol, 0.0, None)), 0.0)
     return vol[:, 0], vol[:, 1:], bad
 
@@ -318,7 +334,7 @@ def batch_strict_inclusion(
     tables[:, 1:, 0] = tl
     tables[:, 1:, 1:] = sq_cand[combos[:, :, None], combos[:, None, :]]
     # a flagged volume reads 0, which already fails the tests below
-    base, subs, _ = _cm_volumes(tables)
+    base, subs, _ = _cm_volumes(tables, flag=False)
     flags = (base > VOLUME_TOL) & (subs.min(axis=1) > VOLUME_TOL)
     flags &= subs.sum(axis=1) <= base * (1.0 + HULL_REL_TOL)
     return flags, _volume_ratios(base[flags, None], subs[flags])

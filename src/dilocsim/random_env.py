@@ -209,6 +209,12 @@ def _draw(model: NoiseModel, links: tuple[_Links, _Links], m: int, block: int, d
     return alive, w, v
 
 
+def _check_index(t: int, draw: int):
+    # iterations count from 0, and a negative block or draw would wrap to 2^64 - 1 in the seed
+    if t < 0 or draw < 0:
+        raise RandomEnvError(f"iteration t and draw must be nonnegative, got t={t}, draw={draw}")
+
+
 def sample_environment(model: NoiseModel, sys: SystemMatrices, t: int, draw: int = 0) -> EnvironmentSample:
     """Draw one iteration's environment, deterministic in (seed, t, draw).
 
@@ -216,7 +222,9 @@ def sample_environment(model: NoiseModel, sys: SystemMatrices, t: int, draw: int
     made in a fixed order for the whole block: B link masks, P link masks,
     B weight fluctuations, P weight fluctuations, B channel noise, P channel
     noise. ``draw`` separates independent replications at the same iteration.
+    RandomEnvError for t < 0 or draw < 0.
     """
+    _check_index(t, draw)
     links = _layout(model, sys)
     block, k = divmod(t, _BLOCK)
     alive, w, v = _draw(model, links, sys.m, block, draw)
@@ -279,8 +287,10 @@ def dlre_step(
     links are unbiasedly compensated) applied to the received, channel-noisy
     value; the result is blended into the current state with gain alpha(t).
     With all randomness degenerate and a constant gain this reproduces the
-    relaxed deterministic update exactly.
+    relaxed deterministic update exactly. RandomEnvError for t < 0 or
+    draw < 0.
     """
+    _check_index(t, draw)
     links = _layout(model, sys)
     _check_dims(x, sys, anchors)
     U = np.asarray(anchors.U, dtype=float)

@@ -7,6 +7,8 @@ these, never the other way around.
 """
 
 import math
+from fractions import Fraction
+from functools import cmp_to_key
 
 import numpy as np
 import scipy.sparse as sp
@@ -198,10 +200,16 @@ def reference_hopeless(coords, frame_err=0.0):
     of up to four candidates. A round can be skipped only then, and
     ``deployment._pivots`` skips these rounds, up to rounding at the edge.
     """
+    w = pivot_widening(coords, frame_err)
+    return bool(math.isfinite(w) and hull_distance(coords) > w)
+
+
+def pivot_widening(coords, frame_err=0.0):
+    """The pivot widening w = 1e-3 R + frame_err / r_min^2 of a round whose
+    candidate directions are ``coords``; inf or nan where it has none."""
     r = np.sqrt((coords**2).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = 1e-3 * r.max() + frame_err / r.min() ** 2
-    return bool(math.isfinite(w) and hull_distance(coords) > w)
+        return float(1e-3 * r.max() + frame_err / r.min() ** 2)
 
 
 def hull_distance(pts):
@@ -232,6 +240,33 @@ def hull_distance(pts):
         if ok.any():
             best = min(best, float(np.sqrt((near[ok] ** 2).sum(axis=1)).min()))
     return best
+
+
+def strictly_surrounds(pts):
+    """Whether the origin lies in the interior of the hull of the rows of
+    ``pts`` (dimension 1 or 2), in exact rational arithmetic.
+
+    In the plane: sorted around the origin, with rows on one ray counted
+    once, every turn between consecutive directions is strictly less than
+    half a turn. Unlike ``hull_distance``, this holds for slivers: its
+    pseudo-inverse counts a triangle 1e-9 high as flat.
+    """
+    rows = [tuple(Fraction(float(x)) for x in row) for row in np.asarray(pts, dtype=float)]
+    if len(rows[0]) == 1:
+        return min(rows)[0] < 0 < max(rows)[0]
+
+    def cross(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
+    def half(a):  # 0 for angles in [0, pi), 1 for [pi, 2 pi)
+        return 0 if a[1] > 0 or (a[1] == 0 and a[0] > 0) else 1
+
+    def order(a, b):
+        return (half(a) - half(b)) or (cross(b, a) > 0) - (cross(a, b) > 0)
+
+    rows = sorted((r for r in rows if r != (0, 0)), key=cmp_to_key(order))
+    rays = [r for i, r in enumerate(rows) if i == 0 or order(rows[i - 1], r)]
+    return len(rays) > 2 and all(cross(a, b) > 0 for a, b in zip(rays, rays[1:] + rays[:1]))
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,41 @@ class TestPresets:
                 assert "algorithm = diloc" in lines
 
 
+class TestSnapshotBudget:
+    """A run whose snapshots could pass the byte budget is refused before set-up."""
+
+    def test_refused_past_the_budget(self, tmp_path, monkeypatch, capsys):
+        # the demo field: 4 sensors in 2-D, 2000 steps at stride 10, 201 snapshots
+        need = 8 * 4 * 2 * (2000 // 10 + 1)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(MINIMAL.format(path=demo_path(tmp_path)) + "snapshot_stride = 10\n")
+        setups = []
+        triangulate_all = dep.triangulate_all
+        monkeypatch.setattr(dep, "triangulate_all", lambda *a, **k: setups.append(1) or triangulate_all(*a, **k))
+        monkeypatch.setattr(dep, "_SETUP_BYTES", need - 1)
+        out = tmp_path / "o"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"could hold {need} bytes" in capsys.readouterr().err
+        assert not out.exists() and setups == []
+        # exactly at the budget the run is accepted (the set-up rounds' own
+        # budget check would refuse a full run at this size)
+        monkeypatch.setattr(dep, "_SETUP_BYTES", need)
+        cli._check_snapshot_bytes(cli.parse_config_text(cfg.read_text()), 4, 2)
+
+    def test_stride_zero_holds_one_snapshot(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dep, "_SETUP_BYTES", 8 * 4 * 2)
+        cfg = minimal_cfg(tmp_path, snapshot_stride=0)
+        cli._check_snapshot_bytes(cfg, 4, 2)
+        with pytest.raises(cli.ConfigInvalidError):
+            cli._check_snapshot_bytes(cfg, 5, 2)
+
+    @pytest.mark.parametrize("name", cli.preset_names())
+    def test_presets_accepted(self, name):
+        cfg = cli.parse_config_text(cli.materialize_preset(name))
+        field = cli._build_field(cfg, cfg["seed"])
+        cli._check_snapshot_bytes(cfg, field.n_sensors, field.m)
+
+
 class TestRunExperiment:
     def test_fixture_run_artifacts(self, tmp_path):
         cfg = cli.parse_config_text(cli.materialize_preset("deterministic-fixture"))
@@ -503,7 +538,9 @@ class TestMainEntry:
         name, values = TestOtherDimensions.CONFIGS[3] if m == 3 else ("deterministic-fixture", {})
         cfg = tmp_path / "c.cfg"
         cfg.write_text(edited_text(name, **values))
-        monkeypatch.setattr(dep, "_SETUP_BYTES", 1)
+        # just below the smallest round: the run's snapshots, checked against
+        # the same budget before set-up, still fit
+        monkeypatch.setattr(dep, "_SETUP_BYTES", dep._round_bytes(m + 1, m) - 1)
         out = tmp_path / "o"
         assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_RUNTIME
         err = capsys.readouterr().err
@@ -644,8 +681,18 @@ class TestMainEntry:
             ("m\t2\ndensity\t-\n1\tanchor\t0\t0\n2\trelay\t6\t0\n", "unknown role 'relay'"),
             ("m\t2\ndensity\t-\n1\tanchor\t0\t0\n2\tanchor\t6\t0\n3\tsensor\t3\t1\n",
              "need 3 anchors, found 2"),
+            # the demo field with one sensor coordinate nan: set-up never returned
+            ("m\t2\ndensity\t-\n1\tanchor\t0\t0\n2\tanchor\t6\t0\n3\tanchor\t3\t5.2\n"
+             "4\tsensor\t2\t1.2\n5\tsensor\t3\tnan\n6\tsensor\t4\t1.2\n7\tsensor\t3\t2.8\n",
+             "node 5 has a non-finite coordinate"),
+            ("m\t2\ndensity\t-\n1\tanchor\t0\t0\n2\tanchor\tinf\t0\n3\tanchor\t3\t5.2\n"
+             "4\tsensor\t2\t1.2\n",
+             "node 2 has a non-finite coordinate"),
         ],
-        ids=["header-value", "header-missing", "record", "ids", "anchor-after-sensor", "role", "anchor-count"],
+        ids=[
+            "header-value", "header-missing", "record", "ids", "anchor-after-sensor", "role", "anchor-count",
+            "nan-sensor", "inf-anchor",
+        ],
     )
     def test_bad_field_file(self, tmp_path, capsys, records, message):
         bad_field = tmp_path / "bad.field"

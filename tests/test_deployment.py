@@ -12,10 +12,13 @@ from dilocsim import deployment as dep
 from dilocsim import geometry as geo
 from helpers import (
     FIFTY_NODE_ANCHORS,
+    hull_distance,
+    pivot_widening,
     reference_first_inside_subset,
     reference_hopeless,
     reference_triangulate_sensor,
     sq_dist_table,
+    strictly_surrounds,
 )
 
 RIGHT_ANCHORS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -194,6 +197,17 @@ class TestSensorField:
         with pytest.raises(dep.DeploymentError):
             dep.SensorField(2, RIGHT_ANCHORS, np.array([[2.0, 2.0]]))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_rejected(self, value):
+        # a nan sensor passed every check, and its set-up radius grew to inf
+        sensors = np.array([[0.2, 0.2], [0.3, value]])
+        with pytest.raises(dep.DeploymentError, match="node 5 has a non-finite coordinate"):
+            dep.SensorField(2, RIGHT_ANCHORS, sensors)
+        anchors = RIGHT_ANCHORS.copy()
+        anchors[1, 0] = value
+        with pytest.raises(dep.DeploymentError, match="node 2 has a non-finite coordinate"):
+            dep.SensorField(2, anchors, sensors[:1])
+
     def test_submatrix_ids(self):
         f = dep.demo_network()
         d = f.distance_submatrix((5, 4, 7))
@@ -352,31 +366,52 @@ def _collinear_field():
     return dep.SensorField(2, anchors, np.array(sensors))
 
 
+def _spy_walks(monkeypatch):
+    """Patch both walks to record each walk as [name, prefiltered batches];
+    returns the list."""
+    walks, surrounds = [], dep._surrounds
+
+    def spy(name):
+        walk = getattr(dep._Search, name)
+
+        def wrapped(search, *args):
+            walks.append([name, 0])
+            return walk(search, *args)
+
+        monkeypatch.setattr(dep._Search, name, wrapped)
+
+    def surrounds_spy(*args):
+        walks[-1][1] += 1
+        return surrounds(*args)
+
+    spy("_pivot_walk")
+    spy("_batch_walk")
+    monkeypatch.setattr(dep, "_surrounds", surrounds_spy)
+    return walks
+
+
 class TestWalkBranches:
     """Branches of the set-up walk that the fields above do not reach."""
 
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE_FIELDS))
     def test_pair_budget_cut_keeps_sets(self, name, monkeypatch):
         field = EQUIVALENCE_FIELDS[name]()
-        walks = []  # prefiltered batches of each walk
-        pivot_walk, surrounds = dep._Search._pivot_walk, dep._surrounds
-
-        def walk_spy(search, *args):
-            walks.append(0)
-            return pivot_walk(search, *args)
-
-        def surrounds_spy(*args):
-            walks[-1] += 1
-            return surrounds(*args)
-
         # two subsets a batch: walks run several batches in every dimension
         monkeypatch.setattr(dep, "_WALK_BATCH", 2)
-        monkeypatch.setattr(dep._Search, "_pivot_walk", walk_spy)
-        monkeypatch.setattr(dep, "_surrounds", surrounds_spy)
+        walks = _spy_walks(monkeypatch)
         r0 = dep._default_r0(field)
         for l, t in dep.triangulate_all(field).items():
             assert (t.radius, t.neighbor_ids) == reference_triangulate_sensor(field, l, r0)
-        assert max(walks) > 1
+        assert max(batches for name, batches in walks if name == "_pivot_walk") > 1
+
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_FIELDS))
+    def test_walks_fit_one_batch(self, name, monkeypatch):
+        # at the default batch size, every walked round of these fields takes
+        # the one-batch walk, with one prefiltered batch
+        field = EQUIVALENCE_FIELDS[name]()
+        walks = _spy_walks(monkeypatch)
+        dep.triangulate_all(field)
+        assert walks and all(walk == ["_batch_walk", 1] for walk in walks)
 
     def test_pivots_without_the_nearest_hull_point(self, monkeypatch):
         # without the search for an empty half-space along the hull's nearest
@@ -390,19 +425,23 @@ class TestWalkBranches:
     def test_degenerate_frame_round_is_walked(self, monkeypatch):
         field = _collinear_field()
         frames, walked = [], []
-        local_frame, pivot_walk = dep._local_frame, dep._Search._pivot_walk
+        local_frame = dep._local_frame
 
-        def frame_spy(sq_cand, sq_to_l, m):
-            coords, frame_err = local_frame(sq_cand, sq_to_l, m)
+        def frame_spy(column, sq_to_l, m):
+            coords, frame_err = local_frame(column, sq_to_l, m)
             frames.append((len(sq_to_l), frame_err))
             return coords, frame_err
 
-        def walk_spy(search, *args):
-            walked.append(len(frames))
-            return pivot_walk(search, *args)
+        def walk_spy(walk):
+            def wrapped(search, *args):
+                walked.append(len(frames))
+                return walk(search, *args)
+
+            return wrapped
 
         monkeypatch.setattr(dep, "_local_frame", frame_spy)
-        monkeypatch.setattr(dep._Search, "_pivot_walk", walk_spy)
+        for name in ("_pivot_walk", "_batch_walk"):
+            monkeypatch.setattr(dep._Search, name, walk_spy(getattr(dep._Search, name)))
         t = dep.triangulate_sensor(field, 4)
         assert (t.radius, t.neighbor_ids) == reference_triangulate_sensor(field, 4, dep._default_r0(field))
         assert {9, 10} & set(t.neighbor_ids)  # the set leaves the line
@@ -476,10 +515,10 @@ def _search_skips(points, l_point):
     field = dep.SensorField(m, points[: m + 1], np.vstack([points[m + 1 :], l_point]), validate=False)
     search = dep._Search(field, field.n_nodes)
     with mock.patch.object(search, "_pivot_walk", wraps=search._pivot_walk) as walk, mock.patch.object(
-        dep, "_surrounds", wraps=dep._surrounds
-    ) as tested:
+        search, "_batch_walk", wraps=search._batch_walk
+    ) as batch_walk, mock.patch.object(dep, "_surrounds", wraps=dep._surrounds) as tested:
         search.first_inside(math.inf)
-    return not (walk.called or tested.called)
+    return not (walk.called or batch_walk.called or tested.called)
 
 
 def _prefilter_verdicts(points, l_point):
@@ -490,7 +529,7 @@ def _prefilter_verdicts(points, l_point):
     sq = sq_dist_table(np.vstack([l_point, points]))
     sq_cand, sq_to_l = sq[1:, 1:], sq[0, 1:]
     n = len(points)
-    coords, frame_err = dep._local_frame(sq_cand, sq_to_l, m)
+    coords, frame_err = dep._local_frame(lambda p: sq_cand[:, p], sq_to_l, m)
     combos = np.array(list(combinations(range(n), m + 1)))
     accepted, _ = geo.batch_strict_inclusion(sq_cand, sq_to_l, combos, m)
     diam = sq_cand[combos[:, :, None], combos[:, None, :]].max(axis=(1, 2))
@@ -505,7 +544,20 @@ def _prefilter_verdicts(points, l_point):
     assert np.isin(combos[accepted], pivots).any(axis=1).all()
     assert _search_skips(points, l_point) == (pivots.size == 0)
     assert hopeless or pivots.size
-    return accepted, passed, hopeless
+    # where _pivots asks it (a finite frame, no candidate at l), the sweep
+    # answers as _beyond does. It shows l inside only where it is, and then
+    # no direction puts every candidate beyond l: not even at w = 0, so at
+    # no widening either. It shows an empty half-space only where _beyond
+    # finds one.
+    w, shown = pivot_widening(coords, frame_err), None
+    if math.isfinite(w):
+        shown = dep._sweep(coords, w)
+    if shown is False:
+        assert strictly_surrounds(coords) and hull_distance(coords) <= 1e-9 * math.sqrt(sq_to_l.max())
+        assert not dep._beyond(coords, 0.0)
+    if shown:
+        assert dep._beyond(coords, w) and hull_distance(coords) > w
+    return accepted, passed, hopeless, shown
 
 
 class TestPrefilterConservative:
@@ -519,30 +571,51 @@ class TestPrefilterConservative:
     def test_random_small_sets(self):
         counts = np.zeros(3, dtype=int)  # accepted, passed, skipped rounds
         skipped = {1: 0, 2: 0, 3: 0}
+        shown = {(m, verdict): 0 for m in (1, 2, 3) for verdict in (False, True, None)}
         for points, l_point in _random_cases():
-            accepted, passed, hopeless = _prefilter_verdicts(points, l_point)
+            accepted, passed, hopeless, verdict = _prefilter_verdicts(points, l_point)
             assert not (accepted & ~passed).any()
             assert not (hopeless and accepted.any())
             counts += (accepted.sum(), passed.sum(), hopeless)
             skips = _search_skips(points, l_point)
             assert skips == hopeless  # on generic points, every round that may be skipped is
             skipped[points.shape[1]] += skips
+            shown[points.shape[1], verdict] += 1
         # on generic points the prefilter is tight and rounds do get skipped,
         # in every dimension
         assert counts[0] > 0 and counts[1] < 2 * counts[0] and counts[2] > 50
         assert min(skipped.values()) > 30
+        # the directions show l inside on a line and in the plane, and an
+        # empty half-space in the plane; never either in 3-D
+        assert min(shown[1, False], shown[2, False], shown[2, True]) > 30
+        assert shown[3, None] == 150
 
     def test_near_degenerate_sets(self):
+        shown = []
         for points, l_point in _near_degenerate_cases():
-            accepted, passed, hopeless = _prefilter_verdicts(points, l_point)
+            accepted, passed, hopeless, verdict = _prefilter_verdicts(points, l_point)
             assert not (accepted & ~passed).any()
             assert not (hopeless and accepted.any())
+            shown.append(verdict)
+        assert False in shown and True in shown
 
     def test_skips_only_when_outside_hull(self):
         rng = np.random.default_rng(5)
         pts = rng.random((9, 2)) + np.array([0.0, 1.0])
         assert _prefilter_verdicts(pts, np.array([0.5, 0.0]))[2]
         assert not _prefilter_verdicts(pts, pts.mean(axis=0))[2]
+
+    def test_swept_rounds_run_no_search(self, monkeypatch):
+        # where the directions answer, _pivots follows no Wolfe path
+        calls, beyond = [], dep._beyond
+        monkeypatch.setattr(dep, "_beyond", lambda pts, w: calls.append(1) or beyond(pts, w))
+        searched = {False: 0, True: 0, None: 0}
+        for points, l_point in _random_cases():
+            coords = points - l_point
+            del calls[:]
+            dep._pivots(coords, 0.0)
+            searched[dep._sweep(coords, pivot_widening(coords))] += len(calls)
+        assert searched[False] == searched[True] == 0 and searched[None] > 0
 
 
 class TestOnePassSetUp:
@@ -649,9 +722,10 @@ class TestSetUpSize:
         "make, sensors",
         [
             # the boundary sensor with the largest radius of a planar density-6
-            # field reaches an anchor in its last round, over 253 candidates
-            (lambda: dep.generate_poisson_field(2, 6.0, FIFTY_NODE_ANCHORS, seed=3), [191]),
-            (EQUIVALENCE_FIELDS["spatial-bench"], [5, 11, 23]),
+            # field reaches an anchor in its last round, over 253 candidates;
+            # sensors 4 and 9 walk their smallest round in one batch
+            (lambda: dep.generate_poisson_field(2, 6.0, FIFTY_NODE_ANCHORS, seed=3), [191, 4]),
+            (EQUIVALENCE_FIELDS["spatial-bench"], [5, 11, 23, 9]),
             (lambda: _duplicate_sensor_field(FIFTY_NODE_ANCHORS, 60, 1), [63]),
             (lambda: _duplicate_sensor_field(REGULAR_TETRAHEDRON, 24, 1), [29]),
         ],
@@ -662,10 +736,11 @@ class TestSetUpSize:
         monkeypatch.setattr(dep, "_WALK_BATCH", 32)
         monkeypatch.setattr(dep, "_KERNEL_BATCH", 16)
         counts = _counting_pivots(monkeypatch)
+        walks = _spy_walks(monkeypatch)
         field = make()
         for l in sensors:
             search = dep._Search(field, l)
-            for n_c in (field.m + 2, field.n_nodes // 2, field.n_nodes - 1):
+            for n_c in (field.m + 2, field.m + 4, field.n_nodes // 2, field.n_nodes - 1):
                 radius = 1.000001 * math.sqrt(search.sq_to_l[n_c - 1])
                 tracemalloc.start()
                 try:
@@ -675,6 +750,8 @@ class TestSetUpSize:
                 finally:
                     tracemalloc.stop()
                 assert 0 < peak <= dep._round_bytes(search.count(radius), field.m, counts[-1])
+        # the smallest rounds fit one batch; the others walk in order
+        assert {name for name, _ in walks} == {"_batch_walk", "_pivot_walk"}
 
 
 class TestCoincidentSensors:

@@ -221,6 +221,19 @@ class TestModelValidation:
 
 
 class TestDlreStep:
+    @pytest.mark.parametrize("t, draw", [(-1, 0), (0, -1)])
+    @pytest.mark.parametrize("schedule", ["harmonic", "constant"])
+    def test_negative_index_rejected(self, t, draw, schedule):
+        # t = -1 drew block 2^64 - 1, and the harmonic gain divided by t + 1 = 0
+        _, _, sys, anchors = demo_setup()
+        model = renv.NoiseModel(link_prob=0.9, seed=3)
+        gain = renv.make_weight_schedule("harmonic", 1.0) if schedule == "harmonic" else (lambda t: 0.5)
+        x = eng.initial_state(anchors, sys.M, seed=1).X
+        with pytest.raises(renv.RandomEnvError, match="nonnegative"):
+            renv.dlre_step(x, sys, anchors, model, gain, t=t, draw=draw)
+        with pytest.raises(renv.RandomEnvError, match="nonnegative"):
+            renv.sample_environment(model, sys, t=t, draw=draw)
+
     def test_reduces_to_relaxed_update(self):
         _, _, sys, anchors = demo_setup()
         model = renv.NoiseModel(seed=0)

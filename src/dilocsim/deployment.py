@@ -458,7 +458,7 @@ def _pivots(coords: np.ndarray, frame_err: float) -> np.ndarray:
     return np.flatnonzero(inside[int(np.argmin(counts))])
 
 
-_WALK_BATCH = 1 << 16  # subsets per batch of the pivot walk
+_WALK_BATCH = 1 << 16  # subsets per band of the walk
 _KERNEL_BATCH = 1 << 12  # subsets per inclusion-kernel call
 _SETUP_BYTES = 1 << 31  # most bytes one set-up round may hold: past it, DeploymentError
 
@@ -470,48 +470,54 @@ def _round_bytes(n_c: int, m: int, k: int = 0) -> int:
     The squared-distance table holds 8 n_c^2 once built. Besides it,
     building it holds the 8 m n_c^2 coordinate differences, and ``_pivots``
     (before the table) one float and one bool per (direction, candidate),
-    9 n_c^2. The ordered walk holds its table of the C(n_c - 1, m - 1)
-    combinations of m - 1 positions and at most 40 bytes per (pivot,
-    candidate) in the pivots' lists; the one-batch walk reads the shared
-    tables of ``_colex`` and holds 8 bytes per (pivot, candidate). A batch
-    adds at most 1 KiB per subset (_WALK_BATCH) and 4 KiB per subset of a
-    kernel call (_KERNEL_BATCH). The same form holds for every m, and
+    9 n_c^2. The walk holds at most 96 bytes per (pivot, candidate): each
+    pivot's others and their distances, and a segment's window over them. A
+    band adds at most 1 KiB per subset (_WALK_BATCH) and 4 KiB per subset
+    of a kernel call (_KERNEL_BATCH). The same form holds for every m, and
     k = n_c bounds any round.
     """
     before_walk = 8 * max(m, 2) * n_c * n_c
-    walk = 8 * (m - 1) * math.comb(n_c - 1, m - 1) + 40 * k * n_c
-    return 8 * n_c * n_c + max(before_walk, walk) + 1024 * _WALK_BATCH + 4096 * _KERNEL_BATCH
+    return 8 * n_c * n_c + max(before_walk, 96 * k * n_c) + 1024 * _WALK_BATCH + 4096 * _KERNEL_BATCH
+
+
+def _firsts(m: int, n: int) -> np.ndarray:
+    """C(t, m) for t = 0, 1, ..., n - 1, exactly (m <= 3): the colex rank of
+    the first m-combination whose largest member is t."""
+    c = np.ones(n, dtype=np.int64)
+    for i in range(m):
+        c *= np.arange(-i, n - i)
+    return c // math.factorial(m)
+
+
+def _unrank(m: int, ranks: np.ndarray, n: int) -> list:
+    """The m-combinations of positions below n with colex ranks ``ranks``,
+    as m arrays of members, ascending. Colex order runs by the largest
+    member t, then by the rest in colex order: ranks [C(t, m), C(t + 1, m))
+    close at t, and the rank less C(t, m) ranks the rest."""
+    members = []
+    for j in range(m, 1, -1):
+        first = _firsts(j, n)
+        members.insert(0, first.searchsorted(ranks, side="right") - 1)
+        ranks = ranks - first[members[0]]
+    return [ranks, *members] if m else []  # C(t, 1) = t
 
 
 @functools.lru_cache(maxsize=None)
 def _colex(m: int, rows: int):
-    """The m-combinations of positions 0, 1, 2, ... in colex order (by the
-    largest member, then by the rest in colex order), as many whole as fit
-    in ``rows``, and the row each one's first m - 1 members fill in the
-    (m - 1)-table. The combinations of positions below n are the first
-    C(n, m) rows, for every n the table covers.
-
-    Built once per (m, rows), in the smallest integer types that hold it,
-    since it stays in memory; read-only, since every caller shares it.
-    ``_batch_walk`` asks for powers of 4 up to ``_WALK_BATCH`` rows, so a
-    field of small rounds keeps small tables.
+    """The m-combinations of positions 0, 1, 2, ... in colex order
+    (``_unrank``), as many whole as fit in ``rows`` (those below n are the
+    first C(n, m)), and the rank of each one's first m - 1 members among the
+    (m - 1)-combinations. Built once per (m, rows), in the smallest integer
+    types that hold it, since it stays in memory; read-only, since every
+    caller shares it. ``_Search._walk`` asks for powers of 4 up to
+    ``_WALK_BATCH`` rows, so a field of small rounds keeps small tables.
     """
-    if m == 0:
-        table, rank = np.zeros((1, 0), dtype=np.uint8), np.zeros(1, dtype=np.uint8)
-    else:
-        lo, hi = m, m + rows  # the most positions n with C(n, m) <= rows, by bisection
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if math.comb(mid, m) <= rows else (lo, mid)
-        top = np.arange(m - 1, lo, dtype=np.min_scalar_type(lo - 1))
-        per_top = np.ones(top.size, dtype=np.uint32)  # C(t, m - 1) rows close at largest member t
-        for i in range(m - 1):
-            per_top *= top - i
-        per_top //= math.factorial(m - 1)
-        first = np.cumsum(per_top, dtype=np.uint32) - per_top
-        rank = np.arange(math.comb(lo, m), dtype=np.uint32) - np.repeat(first, per_top)
-        table = np.column_stack([_colex(m - 1, rows)[0][rank], np.repeat(top, per_top)]).astype(top.dtype)
-        rank = rank.astype(np.min_scalar_type(rank[-1]))
+    n = int(_unrank(m, np.array([rows]), m + rows)[-1][0]) if m else 0  # C(n, m) <= rows < C(n + 1, m)
+    table = np.empty((math.comb(n, m), m), dtype=np.min_scalar_type(max(n - 1, 0)))
+    for j, member in enumerate(_unrank(m, np.arange(len(table)), n)):
+        table[:, j] = member
+    rank = np.arange(len(table)) - (_firsts(m, n + 1)[table[:, -1]] if m else 0)
+    rank = rank.astype(np.min_scalar_type(rank.max()))
     table.flags.writeable = rank.flags.writeable = False
     return table, rank
 
@@ -571,9 +577,8 @@ class _Search:
         holding a candidate of index n_old or more count, since every other
         one failed in an earlier round. Every subset the kernel accepts has
         a vertex among the pivots of ``_pivots``, so a round with none is
-        skipped whole, and the others walk only the subsets through a pivot,
-        for m = 1, 2 and 3 alike: all at once (``_batch_walk``) when they fit
-        one batch, in order (``_pivot_walk``) when not. Of those, only subsets
+        skipped whole, and the others walk (``_walk``) only the subsets
+        through a pivot, for m = 1, 2 and 3 alike. Of those, only subsets
         whose directions from l surround it within the slack of ``_slack``
         reach the kernel; the rest provably fail it. The kernel pass that
         accepts the subset also gives the weights, from the same volumes.
@@ -604,8 +609,7 @@ class _Search:
         # squares rounds some 3-D entries differently
         sq_cand = np.einsum("ijk,ijk->ij", diffs, diffs)
         del diffs
-        walk = self._batch_walk if pivots.size * math.comb(n_c - 1, m) <= _WALK_BATCH else self._pivot_walk
-        return walk(sq_cand, coords, pivots, n_old, float(sq_to_l[-1]), frame_err)
+        return self._walk(sq_cand, coords, pivots, n_old, float(sq_to_l[-1]), frame_err)
 
     def _first_accepted(self, sq_cand, subsets, diam):
         """The first subset the kernel accepts, in (diameter, ids) order, as
@@ -634,98 +638,86 @@ class _Search:
         keep = _surrounds(coords, verts, s, members[:, -1], slack)
         return self._first_accepted(sq_cand, members[keep], diam[keep]) if keep.any() else None
 
-    def _batch_walk(self, sq_cand, coords, pivots, n_old, sq_reach, frame_err):
-        """The first containing subset through some pivot, for a round whose
-        subsets through the pivots fit one batch of ``_pivot_walk``.
-
-        One batch has no walking order to keep, so each pivot's subsets come
-        straight from the combination table of ``_colex``: the pivot and m
-        of its other candidates, taken in index order. A state is a pivot
-        and the first m - 1 of those, so its row follows from the
-        combination's own rank in the (m - 1)-table.
-        """
-        m, n, k = self.m, sq_cand.shape[0], pivots.size
-        size, states = math.comb(n - 1, m), math.comb(n - 2, m - 1)
-        rows = 4
-        while rows < size:
-            rows *= 4
-        rows = min(rows, _WALK_BATCH)  # still >= size, since k size <= _WALK_BATCH
-        table, rank = _colex(m, rows)
-        position = np.arange(n - 1)
-        others = position + (position >= pivots[:, None])  # (pivot, position) -> candidate
-        members = _through(pivots, others, table[:size])
-        s = (states * np.arange(k)[:, None] + rank[:size]).ravel()
-        if n_old:
-            # the last member is the pivot's other candidate of highest index
-            keep = (members[:, 0] >= n_old) | (members[:, -1] >= n_old)
-            if not keep.any():
-                return None
-            members, s = members[keep], s[keep]
-        pairs = combinations(range(m + 1), 2)
-        diam = functools.reduce(np.maximum, (sq_cand[members[:, a], members[:, b]] for a, b in pairs))
-        verts = _through(pivots, others, _colex(m - 1, rows)[0][:states])
-        found = self._test(sq_cand, coords, members, diam, verts, s, sq_reach, frame_err)
-        return None if found is None else found[1:]
-
-    def _pivot_walk(self, sq_cand, coords, pivots, n_old, sq_reach, frame_err):
+    def _walk(self, sq_cand, coords, pivots, n_old, sq_reach, frame_err):
         """The first containing subset through some pivot.
 
         Every subset the kernel accepts has a vertex among ``pivots``
         (``_pivots``), so the first accepted subset is the smallest, in
-        (diameter, ids) order, of each pivot's first. Pivot v lists the
-        other candidates o_0, o_1, ... by distance from v. Entry (v, t)
-        closes the C(t, m - 1) subsets made of v, o_t and m - 1 of
-        o_0 ... o_{t-1}, so a subset through v is walked once, with its
-        member last in that list, at that member's distance: no subset
-        through v of squared diameter D has a member farther than D from v.
-        The entries of all pivots are walked in order of that distance,
-        ``_WALK_BATCH`` subsets a batch, and the walk stops at the first
-        entry farther than the best hit's diameter.
+        (diameter, ids) order, of each pivot's first. A subset through pivot
+        v is v and m of v's other candidates, named by the colex rank of
+        their positions in v's list (``_unrank``), and a band is one slice
+        of ranks per pivot, ``_WALK_BATCH`` subsets at most. When all fit
+        one band, the lists keep index order and every pivot reads one
+        shared ``_colex`` table. Otherwise v lists its others by distance
+        from v, so that no subset through v of squared diameter D closes
+        (has its last member) past D, and the bands take the ranks in order
+        of that distance, a sorted segment at a time, up to the best hit's.
         """
-        m, n = self.m, sq_cand.shape[0]
-        # rows: m - 1 positions; columns: their combinations in order of the
-        # largest, so that the C(t, m - 1) combinations below position t come first
-        if m == 3:
-            combos = np.array(np.tril_indices(n - 1, -1))[::-1]
-        else:
-            combos = np.arange(n - 1)[None, :] if m == 2 else np.zeros((0, 1), dtype=np.intp)
-        per_position = np.searchsorted(combos.max(axis=0, initial=-1), np.arange(n - 1))  # C(t, m - 1)
-        others = np.argsort(sq_cand[pivots], axis=1)
-        others = others[others != pivots[:, None]].reshape(pivots.size, n - 1)
-        dist = np.take_along_axis(sq_cand[pivots], others, axis=1)
-        # entries (pivot row, position) in order of distance; positions below m - 1 close no subset
-        entry = np.argsort(dist, axis=None)
-        bound = dist.ravel()[entry]
-        del dist
-        rows_before = np.concatenate([[0], np.cumsum(per_position[entry % (n - 1)])])
-        best, done = None, 0
-        while True:
-            todo = rows_before[-1 if best is None else np.searchsorted(bound, best[0], side="right")]
-            if done >= todo:
-                return None if best is None else best[1:]
-            g = np.arange(done, min(done + _WALK_BATCH, todo))
-            done += g.size
-            e = np.searchsorted(rows_before, g, side="right") - 1
-            p = g - rows_before[e]
-            r, t = np.divmod(entry[e], n - 1)
-            # the members: the pivot, the m - 1 combined positions and position t
-            cols = [pivots[r], *(others[r, c[p]] for c in combos), others[r, t]]
-            diam = bound[e]  # the pivot's farthest member; the other pairs follow
-            for a, b in combinations(cols[1:], 2):
-                diam = np.maximum(diam, sq_cand[a, b])
-            keep = np.zeros(g.size, dtype=bool)
-            for c in cols:
-                keep |= c >= n_old
-            if best is not None:
-                keep &= diam <= best[0]
-            if not keep.any():
-                continue
-            # a state is (pivot, combination): the entries of one pivot share its combinations
-            _, first, s = np.unique((r * combos.shape[1] + p)[keep], return_index=True, return_inverse=True)
-            members, diam = np.column_stack([c[keep] for c in cols]), diam[keep]
-            found = self._test(sq_cand, coords, members, diam, members[first, :m], s, sq_reach, frame_err)
-            if found is not None and (best is None or found[:2] < best[:2]):
-                best = found
+        m, n, k = self.m, sq_cand.shape[0], pivots.size
+        total, states = math.comb(n - 1, m), math.comb(n - 2, m - 1)  # ranks of subsets, of states
+        if k * total <= _WALK_BATCH:
+            # the least power of 4 >= total, or _WALK_BATCH, still >= total since k total <= _WALK_BATCH
+            rows = min(4 ** math.ceil((total - 1).bit_length() / 2), _WALK_BATCH)
+            table, rank = _colex(m, rows)
+            position = np.arange(n - 1)
+            others = position + (position >= pivots[:, None])  # (pivot, position) -> candidate
+            members = _through(pivots, others, table[:total])
+            s = (states * np.arange(k)[:, None] + rank[:total]).ravel()
+            if n_old:
+                # the last member is the pivot's other candidate of highest index
+                keep = (members[:, 0] >= n_old) | (members[:, -1] >= n_old)
+                if not keep.any():
+                    return None
+                members, s = members[keep], s[keep]
+            pairs = combinations(range(m + 1), 2)
+            diam = functools.reduce(np.maximum, (sq_cand[members[:, a], members[:, b]] for a, b in pairs))
+            verts = _through(pivots, others, _colex(m - 1, rows)[0][:states])
+            found = self._test(sq_cand, coords, members, diam, verts, s, sq_reach, frame_err)
+            return None if found is None else found[1:]
+        near = sq_cand[pivots]
+        others = near.argsort(axis=1)
+        others = others[others != pivots[:, None]].reshape(k, n - 1)
+        near = np.take_along_axis(near, others, axis=1)  # each pivot's distances to its others, ascending
+        first = _firsts(m, 2 * n)  # first[t]: the first rank that closes at t; total or more from n - 1 on
+        flat = np.arange(k)[:, None] * (n - 1)  # where each pivot's row starts, flat
+        done, best = np.zeros(k, dtype=np.int64), None
+        while (done < total).any():
+            # each pivot's positions from its next rank to the one at which its own fill a band
+            lo, hi = first.searchsorted(np.add.outer([0, _WALK_BATCH], done), side="right") - 1
+            t = lo[:, None] + np.arange(min(int((hi - lo).max()) + 1, n - 1))
+            head = np.maximum(first[t], done[:, None])  # the next rank that closes at each position
+            count = np.maximum(np.minimum(first[t + 1], total) - head, 0)
+            dist = np.where(count > 0, near.take(flat + np.minimum(t, n - 2)), np.inf)
+            # a segment: the ranks closing within the nearest such distance (a band or more), in order
+            reach = dist[np.arange(k), np.minimum(hi - lo, t.shape[1] - 1)].min()
+            seg = dist.argsort(axis=None, kind="stable")[: np.count_nonzero(dist <= reach)]
+            r, t, count, dist = seg // t.shape[1], t.flat[seg], count.flat[seg], dist.flat[seg]
+            bounds = np.concatenate([[0], count.cumsum()])  # the segment's ranks before each entry
+            head = head.flat[seg] - first[t] - bounds[:-1]  # an entry's next rest, less its segment rank
+            size = int(bounds[-1])  # a partial last band waits for the next segment, if one is left
+            size -= size % _WALK_BATCH if reach < np.inf and size > _WALK_BATCH else 0
+            done += np.bincount(r, np.diff(bounds.clip(0, size)), k).astype(np.int64)
+            for g in range(0, size, _WALK_BATCH):
+                e = np.repeat(np.arange(seg.size), np.diff(bounds.clip(g, g + _WALK_BATCH)))  # each subset's entry
+                if best is not None and dist[e[0]] > best[0]:
+                    return best[1:]  # every rank left closes past the best hit's diameter
+                rest = np.arange(g, g + e.size) + head[e]  # its first m - 1 positions' rank (with the pivot: a state)
+                e, last = r[e], t[e]  # each subset's pivot row and last position
+                row = flat[e, 0]
+                cols = [pivots[e], *(others.take(row + p) for p in _unrank(m - 1, rest, n - 1) + [last])]
+                diam = near.take(row + last)  # the pivot's farthest member; the other pairs follow
+                for a, b in combinations(cols[1:], 2):
+                    diam = np.maximum(diam, sq_cand[a, b])
+                keep = functools.reduce(np.logical_or, (c >= n_old for c in cols))
+                keep &= diam <= (math.inf if best is None else best[0])
+                if not keep.any():
+                    continue
+                _, at, s = np.unique((e * states + rest)[keep], return_index=True, return_inverse=True)
+                members, diam = np.column_stack([c[keep] for c in cols]), diam[keep]
+                found = self._test(sq_cand, coords, members, diam, members[at, :m], s, sq_reach, frame_err)
+                if found is not None and (best is None or found[:2] < best[:2]):
+                    best = found
+        return None if best is None else best[1:]
 
 
 def triangulate_sensor(field: SensorField, l: int, r0=None, growth=1.25) -> TriangulationSet:
@@ -772,6 +764,8 @@ def can_triangulate(field: SensorField, l: int, r: float) -> bool:
     """Whether some m+1 neighbors within radius ``r`` strictly contain ``l``."""
     if l not in field.sensor_ids:
         raise DeploymentError(f"node {l} is not a sensor")
+    if not (math.isfinite(r) and r > 0):  # the search squares r: -r would answer as r
+        raise DeploymentError(f"radius must be finite and positive, got {r}")
     search = _Search(field, l)
     return search.count(float(r)) > field.m and search.first_inside(float(r)) is not None
 
@@ -786,6 +780,8 @@ def sector_sufficiency_check(field: SensorField, l: int, r: float) -> bool:
     """
     if field.m not in (2, 3):
         raise UnsupportedDimensionError("sector test defined for dimensions 2 and 3")
+    if not (math.isfinite(r) and r > 0):
+        raise DeploymentError(f"radius must be finite and positive, got {r}")
     sq = field.sq_distances_from(l)
     rows = np.flatnonzero(sq < r * r)
     rows = rows[rows != l - 1]

@@ -202,7 +202,7 @@ def _trace_loop(mode, seed, initial, sys, anchors, step, max_iters, step_tol, sn
     _check_dims(x, sys, anchors)
     if oracle is not None and np.shape(oracle) != (sys.M, sys.m):
         raise DimensionMismatchError(f"oracle has shape {np.shape(oracle)}, system expects ({sys.M}, {sys.m})")
-    if step_tol < 0:
+    if not step_tol >= 0:  # a nan tolerance is never met: the run would spin to max_iters
         raise EngineError("step_tol must be nonnegative")
     if initial.t < 0:  # DLRE's gain schedule is defined from t = 0
         raise EngineError(f"initial iteration must be nonnegative, got {initial.t}")

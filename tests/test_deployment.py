@@ -275,6 +275,15 @@ class TestTriangulation:
         assert not dep.can_triangulate(f, 5, 1.0)
         assert not dep.can_triangulate(f, 5, 0.1)  # fewer than m + 1 candidates
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 0.0, -1.5])
+    def test_invalid_radius_rejected(self, r):
+        # nan and inf used to answer True, and -1.5 as 1.5, since the search squares r
+        f = dep.demo_network()
+        with pytest.raises(dep.DeploymentError, match="radius"):
+            dep.can_triangulate(f, 5, r)
+        with pytest.raises(dep.DeploymentError, match="radius"):
+            dep.sector_sufficiency_check(f, 5, r)
+
     def test_protocol_radius_within_2_76_for_99_percent(self):
         # unit-density deployment: at least 99% of sensors with an uncensored
         # radius-2.76 disk triangulate before the schedule passes 2.76
@@ -367,25 +376,20 @@ def _collinear_field():
 
 
 def _spy_walks(monkeypatch):
-    """Patch both walks to record each walk as [name, prefiltered batches];
-    returns the list."""
-    walks, surrounds = [], dep._surrounds
+    """Patch the walk to record each walk as [whether its subsets fit one
+    band, prefiltered batches]; returns the list."""
+    walks, surrounds, walk = [], dep._surrounds, dep._Search._walk
 
-    def spy(name):
-        walk = getattr(dep._Search, name)
-
-        def wrapped(search, *args):
-            walks.append([name, 0])
-            return walk(search, *args)
-
-        monkeypatch.setattr(dep._Search, name, wrapped)
+    def wrapped(search, sq_cand, coords, pivots, *args):
+        n, m = len(sq_cand), search.m
+        walks.append([pivots.size * math.comb(n - 1, m) <= dep._WALK_BATCH, 0])
+        return walk(search, sq_cand, coords, pivots, *args)
 
     def surrounds_spy(*args):
         walks[-1][1] += 1
         return surrounds(*args)
 
-    spy("_pivot_walk")
-    spy("_batch_walk")
+    monkeypatch.setattr(dep._Search, "_walk", wrapped)
     monkeypatch.setattr(dep, "_surrounds", surrounds_spy)
     return walks
 
@@ -402,16 +406,58 @@ class TestWalkBranches:
         r0 = dep._default_r0(field)
         for l, t in dep.triangulate_all(field).items():
             assert (t.radius, t.neighbor_ids) == reference_triangulate_sensor(field, l, r0)
-        assert max(batches for name, batches in walks if name == "_pivot_walk") > 1
+        assert max(batches for one_band, batches in walks if not one_band) > 1
 
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE_FIELDS))
     def test_walks_fit_one_batch(self, name, monkeypatch):
-        # at the default batch size, every walked round of these fields takes
-        # the one-batch walk, with one prefiltered batch
+        # at the default batch size, every walked round of these fields is
+        # one band, with one prefiltered batch
         field = EQUIVALENCE_FIELDS[name]()
         walks = _spy_walks(monkeypatch)
         dep.triangulate_all(field)
-        assert walks and all(walk == ["_batch_walk", 1] for walk in walks)
+        assert walks and all(walk == [True, 1] for walk in walks)
+
+    def test_band_splits_one_position(self, monkeypatch):
+        # bands of 8 subsets, fewer than the C(t, 2) ranks that close at any
+        # 3-D position t >= 5: a band takes part of a position
+        field = EQUIVALENCE_FIELDS["spatial-0"]()
+        monkeypatch.setattr(dep, "_WALK_BATCH", 8)
+        split, unrank = [], dep._unrank
+
+        def spy(m, ranks, n):
+            # the walk unranks each subset's first two positions: a rank
+            # past 8 there sits in a position of more than 9 ranks
+            split.append(m == 2 and int(ranks.max(initial=0)) > 8)
+            return unrank(m, ranks, n)
+
+        monkeypatch.setattr(dep, "_unrank", spy)
+        r0 = dep._default_r0(field)
+        for l, t in dep.triangulate_all(field).items():
+            assert (t.radius, t.neighbor_ids) == reference_triangulate_sensor(field, l, r0)
+        assert any(split)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_colex_order(self, m):
+        def colex(n, m):
+            return sorted(combinations(range(n), m), key=lambda c: c[::-1])
+
+        n = 31  # C(31, 1) > 30 rows
+        order = colex(n, m)
+        members = dep._unrank(m, np.arange(len(order)), n)
+        assert len(members) == m
+        assert [tuple(int(p[i]) for p in members) for i in range(len(order))] == order
+        if m:  # ranks [C(t, m), C(t + 1, m)) close at position t
+            for t in range(n):
+                assert all(c[-1] == t for c in order[math.comb(t, m) : math.comb(t + 1, m)])
+        for rows in (1, 5, 30):
+            # as many whole positions as fit, and each row's first m - 1
+            # members ranked among the (m - 1)-combinations
+            table, rank = dep._colex(m, rows)
+            assert [tuple(int(p) for p in row) for row in table] == order[: len(table)]
+            assert len(table) <= rows and (m == 0 or math.comb(int(table.max()) + 2, m) > rows)
+            if m:
+                lower = colex(n, m - 1)
+                assert [lower.index(tuple(int(p) for p in row[:-1])) for row in table] == rank.tolist()
 
     def test_pivots_without_the_nearest_hull_point(self, monkeypatch):
         # without the search for an empty half-space along the hull's nearest
@@ -440,8 +486,7 @@ class TestWalkBranches:
             return wrapped
 
         monkeypatch.setattr(dep, "_local_frame", frame_spy)
-        for name in ("_pivot_walk", "_batch_walk"):
-            monkeypatch.setattr(dep._Search, name, walk_spy(getattr(dep._Search, name)))
+        monkeypatch.setattr(dep._Search, "_walk", walk_spy(dep._Search._walk))
         t = dep.triangulate_sensor(field, 4)
         assert (t.radius, t.neighbor_ids) == reference_triangulate_sensor(field, 4, dep._default_r0(field))
         assert {9, 10} & set(t.neighbor_ids)  # the set leaves the line
@@ -514,11 +559,11 @@ def _search_skips(points, l_point):
     m = points.shape[1]
     field = dep.SensorField(m, points[: m + 1], np.vstack([points[m + 1 :], l_point]), validate=False)
     search = dep._Search(field, field.n_nodes)
-    with mock.patch.object(search, "_pivot_walk", wraps=search._pivot_walk) as walk, mock.patch.object(
-        search, "_batch_walk", wraps=search._batch_walk
-    ) as batch_walk, mock.patch.object(dep, "_surrounds", wraps=dep._surrounds) as tested:
+    with mock.patch.object(search, "_walk", wraps=search._walk) as walk, mock.patch.object(
+        dep, "_surrounds", wraps=dep._surrounds
+    ) as tested:
         search.first_inside(math.inf)
-    return not (walk.called or batch_walk.called or tested.called)
+    return not (walk.called or tested.called)
 
 
 def _prefilter_verdicts(points, l_point):
@@ -728,8 +773,10 @@ class TestSetUpSize:
             (EQUIVALENCE_FIELDS["spatial-bench"], [5, 11, 23, 9]),
             (lambda: _duplicate_sensor_field(FIFTY_NODE_ANCHORS, 60, 1), [63]),
             (lambda: _duplicate_sensor_field(REGULAR_TETRAHEDRON, 24, 1), [29]),
+            # on a line every position holds one subset, so a window spans the most positions
+            (lambda: _duplicate_sensor_field(np.array([[0.0], [10.0]]), 60, 1), [63]),
         ],
-        ids=["planar", "spatial", "planar-every-candidate-a-pivot", "every-candidate-a-pivot"],
+        ids=["planar", "spatial", "planar-every-candidate-a-pivot", "every-candidate-a-pivot", "line"],
     )
     def test_round_bytes_bound_the_arrays(self, make, sensors, monkeypatch):
         # small batches, so that the n_c^2 and k n_c terms carry the bound
@@ -750,8 +797,8 @@ class TestSetUpSize:
                 finally:
                     tracemalloc.stop()
                 assert 0 < peak <= dep._round_bytes(search.count(radius), field.m, counts[-1])
-        # the smallest rounds fit one batch; the others walk in order
-        assert {name for name, _ in walks} == {"_batch_walk", "_pivot_walk"}
+        # the smallest rounds are one band; the others walk several
+        assert {one_band for one_band, _ in walks} == {True, False}
 
 
 class TestCoincidentSensors:

@@ -128,6 +128,13 @@ class TestInputChecks:
         with pytest.raises(eng.EngineError, match="step_tol"):
             eng.run_to_convergence(eng.initial_state(anchors, sys.M), sys, anchors, step_tol=-1e-12)
 
+    def test_nan_step_tol_rejected(self):
+        # a nan tolerance is never met: the demo network ran 5000 of 5000
+        # iterations with converged_at None
+        _, sys, anchors, _ = demo_setup()
+        with pytest.raises(eng.EngineError, match="step_tol"):
+            eng.run_to_convergence(eng.initial_state(anchors, sys.M), sys, anchors, step_tol=math.nan)
+
     @pytest.mark.parametrize("mode", RESUMABLE)
     def test_negative_start_iteration_rejected(self, mode):
         # run_dlre reads the gain alpha(t) from initial.t: from t = -3 the

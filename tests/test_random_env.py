@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -435,6 +436,15 @@ class TestDlreRun:
             renv.run_dlre(
                 eng.initial_state(anchors, sys.M), sys, anchors, renv.NoiseModel(seed=1),
                 lambda t: 0.5, max_iters=5, step_tol=-1e-12,
+            )
+
+    def test_nan_step_tol_rejected(self):
+        # a nan tolerance is never met: the run would spin to max_iters
+        _, _, sys, anchors = demo_setup()
+        with pytest.raises(eng.EngineError, match="step_tol"):
+            renv.run_dlre(
+                eng.initial_state(anchors, sys.M), sys, anchors, renv.NoiseModel(seed=1),
+                lambda t: 0.5, max_iters=5, step_tol=math.nan,
             )
 
     @pytest.mark.parametrize("case", MIS_SHAPED_ORACLE)

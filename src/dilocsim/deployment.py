@@ -211,8 +211,6 @@ def _default_r0(field: SensorField) -> float:
     for l in field.sensor_ids:
         sq = field.sq_distances_from(l)
         nn.append(math.sqrt(sq[sq > 0.0].min(initial=math.inf)))
-    if not nn:
-        raise DeploymentError("field has no sensors")
     r0 = float(np.median(nn)) / 2.0
     if not math.isfinite(r0):  # a sensor with no node at distance > 0: every node sits on it
         raise DeploymentError("all nodes of the field coincide, so no default r0 exists")
@@ -471,10 +469,10 @@ def _round_bytes(n_c: int, m: int, k: int = 0) -> int:
     building it holds the 8 m n_c^2 coordinate differences, and ``_pivots``
     (before the table) one float and one bool per (direction, candidate),
     9 n_c^2. The walk holds at most 96 bytes per (pivot, candidate): each
-    pivot's others and their distances, and a segment's window over them. A
-    band adds at most 1 KiB per subset (_WALK_BATCH) and 4 KiB per subset
-    of a kernel call (_KERNEL_BATCH). The same form holds for every m, and
-    k = n_c bounds any round.
+    pivot's others and their distances, and the entries' order, pivot rows,
+    positions and rank bounds. A band adds at most 1 KiB per subset
+    (_WALK_BATCH) and 4 KiB per subset of a kernel call (_KERNEL_BATCH).
+    The same form holds for every m, and k = n_c bounds any round.
     """
     before_walk = 8 * max(m, 2) * n_c * n_c
     return 8 * n_c * n_c + max(before_walk, 96 * k * n_c) + 1024 * _WALK_BATCH + 4096 * _KERNEL_BATCH
@@ -509,8 +507,8 @@ def _colex(m: int, rows: int):
     first C(n, m)), and the rank of each one's first m - 1 members among the
     (m - 1)-combinations. Built once per (m, rows), in the smallest integer
     types that hold it, since it stays in memory; read-only, since every
-    caller shares it. ``_Search._walk`` asks for powers of 4 up to
-    ``_WALK_BATCH`` rows, so a field of small rounds keeps small tables.
+    caller shares it. ``_Search._walk`` asks for ``_WALK_BATCH`` rows, and
+    reads prefixes; for m <= 3 all its tables take under 1 MB.
     """
     n = int(_unrank(m, np.array([rows]), m + rows)[-1][0]) if m else 0  # C(n, m) <= rows < C(n + 1, m)
     table = np.empty((math.comb(n, m), m), dtype=np.min_scalar_type(max(n - 1, 0)))
@@ -646,19 +644,19 @@ class _Search:
         (diameter, ids) order, of each pivot's first. A subset through pivot
         v is v and m of v's other candidates, named by the colex rank of
         their positions in v's list (``_unrank``), and a band is one slice
-        of ranks per pivot, ``_WALK_BATCH`` subsets at most. When all fit
-        one band, the lists keep index order and every pivot reads one
-        shared ``_colex`` table. Otherwise v lists its others by distance
-        from v, so that no subset through v of squared diameter D closes
-        (has its last member) past D, and the bands take the ranks in order
-        of that distance, a sorted segment at a time, up to the best hit's.
+        of ranks, ``_WALK_BATCH`` subsets at most. When all fit one band,
+        the lists keep index order and every pivot reads one shared
+        ``_colex`` table. Otherwise v lists its others by distance from v,
+        so that no subset through v of squared diameter D closes (has its
+        last member) past D. The (pivot, position) entries then take one
+        order, by that distance, and the ranks closing at each entry follow
+        in it; band g is the ranks [g, g + ``_WALK_BATCH``) of that order,
+        up to the first band that starts past the best hit's diameter.
         """
         m, n, k = self.m, sq_cand.shape[0], pivots.size
         total, states = math.comb(n - 1, m), math.comb(n - 2, m - 1)  # ranks of subsets, of states
         if k * total <= _WALK_BATCH:
-            # the least power of 4 >= total, or _WALK_BATCH, still >= total since k total <= _WALK_BATCH
-            rows = min(4 ** math.ceil((total - 1).bit_length() / 2), _WALK_BATCH)
-            table, rank = _colex(m, rows)
+            table, rank = _colex(m, _WALK_BATCH)  # total <= _WALK_BATCH rows, and states <= total
             position = np.arange(n - 1)
             others = position + (position >= pivots[:, None])  # (pivot, position) -> candidate
             members = _through(pivots, others, table[:total])
@@ -666,57 +664,44 @@ class _Search:
             if n_old:
                 # the last member is the pivot's other candidate of highest index
                 keep = (members[:, 0] >= n_old) | (members[:, -1] >= n_old)
-                if not keep.any():
-                    return None
                 members, s = members[keep], s[keep]
             pairs = combinations(range(m + 1), 2)
             diam = functools.reduce(np.maximum, (sq_cand[members[:, a], members[:, b]] for a, b in pairs))
-            verts = _through(pivots, others, _colex(m - 1, rows)[0][:states])
+            verts = _through(pivots, others, _colex(m - 1, _WALK_BATCH)[0][:states])
             found = self._test(sq_cand, coords, members, diam, verts, s, sq_reach, frame_err)
             return None if found is None else found[1:]
         near = sq_cand[pivots]
         others = near.argsort(axis=1)
         others = others[others != pivots[:, None]].reshape(k, n - 1)
         near = np.take_along_axis(near, others, axis=1)  # each pivot's distances to its others, ascending
-        first = _firsts(m, 2 * n)  # first[t]: the first rank that closes at t; total or more from n - 1 on
-        flat = np.arange(k)[:, None] * (n - 1)  # where each pivot's row starts, flat
-        done, best = np.zeros(k, dtype=np.int64), None
-        while (done < total).any():
-            # each pivot's positions from its next rank to the one at which its own fill a band
-            lo, hi = first.searchsorted(np.add.outer([0, _WALK_BATCH], done), side="right") - 1
-            t = lo[:, None] + np.arange(min(int((hi - lo).max()) + 1, n - 1))
-            head = np.maximum(first[t], done[:, None])  # the next rank that closes at each position
-            count = np.maximum(np.minimum(first[t + 1], total) - head, 0)
-            dist = np.where(count > 0, near.take(flat + np.minimum(t, n - 2)), np.inf)
-            # a segment: the ranks closing within the nearest such distance (a band or more), in order
-            reach = dist[np.arange(k), np.minimum(hi - lo, t.shape[1] - 1)].min()
-            seg = dist.argsort(axis=None, kind="stable")[: np.count_nonzero(dist <= reach)]
-            r, t, count, dist = seg // t.shape[1], t.flat[seg], count.flat[seg], dist.flat[seg]
-            bounds = np.concatenate([[0], count.cumsum()])  # the segment's ranks before each entry
-            head = head.flat[seg] - first[t] - bounds[:-1]  # an entry's next rest, less its segment rank
-            size = int(bounds[-1])  # a partial last band waits for the next segment, if one is left
-            size -= size % _WALK_BATCH if reach < np.inf and size > _WALK_BATCH else 0
-            done += np.bincount(r, np.diff(bounds.clip(0, size)), k).astype(np.int64)
-            for g in range(0, size, _WALK_BATCH):
-                e = np.repeat(np.arange(seg.size), np.diff(bounds.clip(g, g + _WALK_BATCH)))  # each subset's entry
-                if best is not None and dist[e[0]] > best[0]:
-                    return best[1:]  # every rank left closes past the best hit's diameter
-                rest = np.arange(g, g + e.size) + head[e]  # its first m - 1 positions' rank (with the pivot: a state)
-                e, last = r[e], t[e]  # each subset's pivot row and last position
-                row = flat[e, 0]
-                cols = [pivots[e], *(others.take(row + p) for p in _unrank(m - 1, rest, n - 1) + [last])]
-                diam = near.take(row + last)  # the pivot's farthest member; the other pairs follow
-                for a, b in combinations(cols[1:], 2):
-                    diam = np.maximum(diam, sq_cand[a, b])
-                keep = functools.reduce(np.logical_or, (c >= n_old for c in cols))
-                keep &= diam <= (math.inf if best is None else best[0])
-                if not keep.any():
-                    continue
-                _, at, s = np.unique((e * states + rest)[keep], return_index=True, return_inverse=True)
-                members, diam = np.column_stack([c[keep] for c in cols]), diam[keep]
-                found = self._test(sq_cand, coords, members, diam, members[at, :m], s, sq_reach, frame_err)
-                if found is not None and (best is None or found[:2] < best[:2]):
-                    best = found
+        # the (pivot, position) entries by distance, ties by (pivot row, position),
+        # and the ranks before each: C(t, m - 1) ranks close at position t
+        order = near.argsort(axis=None, kind="stable")
+        r, t = np.divmod(order, n - 1)  # each entry's pivot row and position
+        bounds = np.concatenate([[0], _firsts(m - 1, n - 1)[t].cumsum()])
+        best = None
+        for g in range(0, k * total, _WALK_BATCH):
+            top = min(g + _WALK_BATCH, k * total)  # band g holds ranks [g, top), within entries [lo, hi)
+            lo, hi = bounds.searchsorted(g, side="right") - 1, bounds.searchsorted(top)
+            entry = np.arange(lo, hi).repeat(np.diff(bounds[lo : hi + 1].clip(g, top)))  # each subset's entry
+            diam = near.take(order[entry])  # the pivot's farthest member; the other pairs follow
+            if best is not None and diam[0] > best[0]:
+                return best[1:]  # every rank left closes past the best hit's diameter
+            rest = np.arange(g, top) - bounds[entry]  # its first m - 1 positions' rank (with the pivot: a state)
+            e, last = r[entry], t[entry]  # each subset's pivot row and last position
+            row = e * (n - 1)
+            cols = [pivots[e], *(others.take(row + p) for p in _unrank(m - 1, rest, n - 1) + [last])]
+            for a, b in combinations(cols[1:], 2):
+                diam = np.maximum(diam, sq_cand[a, b])
+            keep = functools.reduce(np.logical_or, (c >= n_old for c in cols))
+            keep &= diam <= (math.inf if best is None else best[0])
+            if not keep.any():
+                continue
+            _, at, s = np.unique((e * states + rest)[keep], return_index=True, return_inverse=True)
+            members, diam = np.column_stack([c[keep] for c in cols]), diam[keep]
+            found = self._test(sq_cand, coords, members, diam, members[at, :m], s, sq_reach, frame_err)
+            if found is not None and (best is None or found[:2] < best[:2]):
+                best = found
         return None if best is None else best[1:]
 
 
@@ -755,7 +740,7 @@ def triangulate_sensor(field: SensorField, l: int, r0=None, growth=1.25) -> Tria
 
 def triangulate_all(field: SensorField, r0=None, growth=1.25) -> dict[int, TriangulationSet]:
     """Triangulate every sensor; independent per sensor, deterministic."""
-    if r0 is None:
+    if r0 is None and field.n_sensors:  # a field without sensors sets no scale, and needs none
         r0 = _default_r0(field)
     return {l: triangulate_sensor(field, l, r0=r0, growth=growth) for l in field.sensor_ids}
 

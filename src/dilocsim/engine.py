@@ -196,7 +196,8 @@ def _trace_loop(mode, seed, initial, sys, anchors, step, max_iters, step_tol, sn
     step's gain. The run continues from ``initial.t``, so a run resumed from
     a trace's last state repeats the unbroken one; the loop stops once a step
     norm falls below ``step_tol`` and raises NonFiniteStateError at the first
-    non-finite one.
+    non-finite one. EngineError for a negative ``max_iters`` or
+    ``snapshot_stride``.
     """
     x = initial.X
     _check_dims(x, sys, anchors)
@@ -206,6 +207,10 @@ def _trace_loop(mode, seed, initial, sys, anchors, step, max_iters, step_tol, sn
         raise EngineError("step_tol must be nonnegative")
     if initial.t < 0:  # DLRE's gain schedule is defined from t = 0
         raise EngineError(f"initial iteration must be nonnegative, got {initial.t}")
+    # a negative bound would run no step, and a negative stride snapshot as its absolute value
+    for name, value in (("max_iters", max_iters), ("snapshot_stride", snapshot_stride)):
+        if value < 0:
+            raise EngineError(f"{name} must be nonnegative, got {value}")
     # array('d') keeps 8 bytes per entry; a list of Python floats about 32
     step_norms, gains = array("d"), array("d")
     oracle_errors = None if oracle is None else array("d")

@@ -164,7 +164,7 @@ def _layout(model: NoiseModel, sys: SystemMatrices) -> tuple[_Links, _Links]:
         raise RandomEnvError("per-link probabilities must be a (B, P) pair")
     probs = (model.link_prob,) * 2 if scalar else model.link_prob
     out = []
-    for prob, bias, block in zip(probs, (model.bias_B, model.bias_P), (sys.B, sys.P)):
+    for prob, bias, block, name in zip(probs, (model.bias_B, model.bias_P), (sys.B, sys.P), "BP"):
         rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
         if scalar:
             q = np.full(block.nnz, float(prob))
@@ -173,6 +173,8 @@ def _layout(model: NoiseModel, sys: SystemMatrices) -> tuple[_Links, _Links]:
             if q.size and not (0.0 < q.min() and q.max() <= 1.0):
                 raise RandomEnvError("link probabilities must lie in (0, 1]")
         bias = np.zeros(block.nnz) if bias is None else _on_links(bias, block, rows, "bias")
+        if not np.isfinite(bias).all():
+            raise RandomEnvError(f"bias_{name} must be finite on every link of {name}")
         slots = (rows[:, None] * sys.m + np.arange(sys.m)).ravel()
         out.append(_Links(block.indices, slots, q, bias, block.data + bias))
     return out[0], out[1]

@@ -221,6 +221,12 @@ class TestTriangulation:
         tris = dep.triangulate_all(f)
         assert {l: t.neighbor_ids for l, t in tris.items()} == DEMO_TRIANGULATION
 
+    @pytest.mark.parametrize("density", [None, 1.0])
+    def test_field_without_sensors_sets_up_empty(self, density):
+        # the explicit field used to raise "field has no sensors" from the default r0
+        field = dep.SensorField(2, RIGHT_ANCHORS, np.zeros((0, 2)), density=density)
+        assert dep.triangulate_all(field) == {}
+
     def test_demo_weights_reconstruct_positions(self):
         f = dep.demo_network()
         for l, t in dep.triangulate_all(f).items():
@@ -435,6 +441,50 @@ class TestWalkBranches:
         for l, t in dep.triangulate_all(field).items():
             assert (t.radius, t.neighbor_ids) == reference_triangulate_sensor(field, l, r0)
         assert any(split)
+
+    @pytest.mark.parametrize("name", ["line", "demo", "lattice", "fifty-3", "spatial-0"])
+    def test_walk_tests_each_needed_subset_once(self, name, monkeypatch):
+        # a subset through a pivot is the pivot and m of its other candidates;
+        # every one that has a new member and is no wider than the answer must
+        # reach the prefilter, none twice in one walk, however the bands cut them
+        field = EQUIVALENCE_FIELDS[name]()
+        walks, walk, test = [], dep._Search._walk, dep._Search._test
+
+        def walk_spy(search, sq_cand, coords, pivots, n_old, *args):
+            walks.append((sq_cand, pivots, n_old, []))
+            found = walk(search, sq_cand, coords, pivots, n_old, *args)
+            walks[-1] += (None if found is None else search._index[list(found[0])],)
+            return found
+
+        def test_spy(search, sq_cand, coords, members, *args):
+            walks[-1][3].append(members)
+            return test(search, sq_cand, coords, members, *args)
+
+        def keys(subsets, n):
+            # (pivot, the rest in ascending order) as one integer
+            rest = np.sort(subsets[:, 1:], axis=1)
+            return np.ravel_multi_index((subsets[:, 0], *rest.T), (n,) * subsets.shape[1])
+
+        monkeypatch.setattr(dep._Search, "_walk", walk_spy)
+        monkeypatch.setattr(dep._Search, "_test", test_spy)
+        for batch in (2, 5, 8):  # bands of 8 split 3-D positions, as in test_band_splits_one_position
+            monkeypatch.setattr(dep, "_WALK_BATCH", batch)
+            dep.triangulate_all(field)
+        # some walk ran several bands, each with its own prefilter call
+        assert any(len(tested) > 1 for _, _, _, tested, _ in walks)
+        m = field.m
+        for sq_cand, pivots, n_old, tested, answer in walks:
+            n = len(sq_cand)
+            tested = keys(np.concatenate(tested or [np.zeros((0, m + 1), dtype=int)]), n)
+            assert np.unique(tested).size == tested.size
+            bound = math.inf if answer is None else sq_cand[np.ix_(answer, answer)].max()
+            positions = np.array(list(combinations(range(n - 1), m)), dtype=int).reshape(-1, m)
+            for v in pivots:
+                rest = np.delete(np.arange(n), v)[positions]
+                subsets = np.column_stack([np.full(len(rest), v), rest])
+                diam = sq_cand[subsets[:, :, None], subsets[:, None, :]].max(axis=(1, 2))
+                needed = (subsets.max(axis=1) >= n_old) & (diam <= bound)
+                assert np.isin(keys(subsets[needed], n), tested).all()
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_colex_order(self, m):

@@ -144,6 +144,21 @@ class TestInputChecks:
         with pytest.raises(eng.EngineError, match="initial iteration"):
             _resumable_run(mode, start, sys, anchors, 5, None)
 
+    @pytest.mark.parametrize("mode", RESUMABLE)
+    @pytest.mark.parametrize("bound", ["max_iters", "snapshot_stride"])
+    def test_negative_loop_bound_rejected(self, mode, bound):
+        # max_iters=-3 ran a 0-iteration trace, and snapshot_stride=-2
+        # snapshotted every second step, as +2 would
+        _, sys, anchors, _ = demo_setup()
+        kwargs = {"max_iters": 5, "snapshot_stride": 1, bound: -2}
+        initial = eng.initial_state(anchors, sys.M)
+        with pytest.raises(eng.EngineError, match=f"{bound} must be nonnegative"):
+            if mode == "dlre":
+                schedule = renv.make_weight_schedule("harmonic", 1.0)
+                renv.run_dlre(initial, sys, anchors, renv.NoiseModel(), schedule, **kwargs)
+            else:
+                eng.run_to_convergence(initial, sys, anchors, mode=mode, alpha=0.5, **kwargs)
+
     @pytest.mark.parametrize("case", MIS_SHAPED_ORACLE)
     @pytest.mark.parametrize("mode", eng.MODES)
     def test_run_rejects_mis_shaped_oracle(self, case, mode):

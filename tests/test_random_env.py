@@ -220,6 +220,31 @@ class TestModelValidation:
             with pytest.raises(renv.RandomEnvError, match=field):
                 call()
 
+    @pytest.mark.parametrize("block", ["B", "P"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_link_bias_rejected(self, block, bad):
+        # a nan bias used to reach LAPACK and ARPACK in dlre_limit, fail run_dlre
+        # at its first step and come back from sample_environment as a weight
+        _, _, sys, anchors = demo_setup()
+        matrix = getattr(sys, block)
+        bias = np.zeros(matrix.shape)
+        bias[0, matrix.indices[0]] = bad  # the first link of row 0, which has links in both blocks
+        model = renv.NoiseModel(**{f"bias_{block}": bias})
+        initial = eng.initial_state(anchors, sys.M, seed=1)
+        calls = (
+            lambda: renv.sample_environment(model, sys, t=0),
+            lambda: renv.dlre_step(initial.X, sys, anchors, model, lambda t: 1.0, t=0),
+            lambda: renv.run_dlre(initial, sys, anchors, model, lambda t: 1.0, max_iters=5),
+            lambda: renv.dlre_limit(sys, anchors, model),
+        )
+        for call in calls:
+            with pytest.raises(renv.RandomEnvError, match=f"bias_{block} must be finite"):
+                call()
+        # off the links a bias takes no effect, so it may be anything
+        off = np.where(matrix.toarray() == 0.0, bad, 0.0)
+        sample = renv.sample_environment(renv.NoiseModel(**{f"bias_{block}": off}), sys, t=0)
+        assert np.isfinite(sample.b_hat_data).all() and np.isfinite(sample.p_hat_data).all()
+
 
 class TestDlreStep:
     @pytest.mark.parametrize("t, draw", [(-1, 0), (0, -1)])
@@ -565,6 +590,19 @@ class TestDlreLimit:
         limit = renv.dlre_limit(sys, anchors, renv.NoiseModel(bias_P=target - sys.P.toarray()))
         d_ref = np.linalg.solve(np.eye(3) - target, sys.B.toarray() @ anchors.U)
         np.testing.assert_allclose(limit.d_star, d_ref, rtol=0.0, atol=1e-12)
+
+    def test_two_sensor_limit_takes_the_dense_radius(self):
+        # sensors 1 and 2 between anchors 0 and 3 give P = [[0, .5], [.5, 0]];
+        # the biased block [[0, 1.2], [-0.9, 0]] has a negative weight, and its
+        # eigenvalues +-1.039i, from a dense eigensolve since ARPACK needs three
+        # rows, leave the unit disk
+        field = dep.SensorField(1, np.array([[0.0], [3.0]]), np.array([[1.0], [2.0]]))
+        sys = sysm.build_system_matrices(field, dep.triangulate_all(field))
+        anchors = sysm.AnchorBlock(field.anchor_block())
+        np.testing.assert_allclose(sys.P.toarray(), [[0.0, 0.5], [0.5, 0.0]], atol=1e-12)
+        model = renv.NoiseModel(bias_P=np.array([[0.0, 0.7], [-1.4, 0.0]]))
+        with pytest.raises(sysm.SingularSystemError, match="spectral radius"):
+            renv.dlre_limit(sys, anchors, model)
 
     def test_biased_limit_allocates_per_link_only(self):
         # one dense M x M float array is 200 MB at M = 5000; constant biases

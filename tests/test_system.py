@@ -60,6 +60,38 @@ class TestBuild:
             sysm.build_system_matrices(field, tris)
 
 
+class TestValidate:
+    """Each of ``SystemMatrices.validate``'s refusals, on edits of the demo system."""
+
+    def test_block_shape(self):
+        _, sys, _ = demo_system()
+        with pytest.raises(sysm.SystemMatrixError, match="block shapes"):
+            sysm.SystemMatrices(sys.B[:, :2], sys.P, sys.m).validate()
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5])
+    def test_weight_outside_unit_interval(self, bad):
+        _, sys, _ = demo_system()
+        P = sys.P.copy()
+        P.data[0] = bad
+        with pytest.raises(sysm.SystemMatrixError, match=r"\[0, 1\]"):
+            sysm.SystemMatrices(sys.B, P, sys.m).validate()
+
+    def test_row_without_m_plus_1_weights(self):
+        _, sys, _ = demo_system()
+        P = sys.P.copy()
+        P.data[0] = 0.0
+        P.eliminate_zeros()
+        with pytest.raises(sysm.SystemMatrixError, match=r"m\+1 weights"):
+            sysm.SystemMatrices(sys.B, P, sys.m).validate()
+
+    def test_row_sum_off_one(self):
+        _, sys, _ = demo_system()
+        B = sys.B.copy()
+        B.data[0] -= 1e-9
+        with pytest.raises(sysm.SystemMatrixError, match="sum to one"):
+            sysm.SystemMatrices(B, sys.P, sys.m).validate()
+
+
 class TestSpectralRadius:
     def test_zero_matrix(self):
         assert sysm.spectral_radius(sp.csr_matrix((3, 3))) == 0.0

@@ -12,7 +12,6 @@ from .geometry import (
     BarycentricWeights,
     DistanceMatrix,
     HullVerdict,
-    Simplex,
     barycentric_coordinates,
     cayley_menger_determinant,
     convex_hull_inclusion,

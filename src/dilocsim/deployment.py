@@ -22,6 +22,7 @@ from .geometry import (
     VOLUME_TOL,
     BarycentricWeights,
     DistanceMatrix,
+    _drop_one,
     barycentric_coordinates,  # noqa: F401  (bench/meter.py wraps it in this module too)
     batch_strict_inclusion,
 )
@@ -67,6 +68,8 @@ class SensorField:
         self.anchor_coords = np.asarray(anchor_coords, dtype=float)
         self._sensor_coords = np.asarray(sensor_coords, dtype=float).reshape(-1, self.m)
         self.density = density
+        if density is not None and not (math.isfinite(density) and density > 0):
+            raise DeploymentError(f"field density must be finite and positive, got {density}")
         if self.anchor_coords.shape != (self.m + 1, self.m):
             raise DeploymentError(
                 f"need {self.m + 1} anchors with {self.m} coordinates each, "
@@ -185,11 +188,13 @@ def generate_poisson_field(m, gamma, anchor_simplex, seed) -> SensorField:
 
 
 def _simplex_volume(anchors: np.ndarray, m: int) -> float:
-    """Volume of the anchor simplex; DeploymentError unless it has m+1 points
-    in dimension m, DegenerateAnchorsError when it is flat (volume at most
+    """Volume of the anchor simplex; DeploymentError unless it has m+1 finite
+    points in dimension m, DegenerateAnchorsError when it is flat (volume at most
     1e-12 of its diameter to the m-th power)."""
     if anchors.shape != (m + 1, m):
         raise DeploymentError(f"anchor simplex must be ({m + 1}, {m}), got {anchors.shape}")
+    if not np.isfinite(anchors).all():
+        raise DeploymentError("anchor simplex has a non-finite coordinate")
     volume = abs(np.linalg.det(anchors[1:] - anchors[0])) / math.factorial(m)
     diff = anchors[:, None, :] - anchors[None, :, :]
     diam_sq = float(np.einsum("ijk,ijk->ij", diff, diff).max())
@@ -295,16 +300,8 @@ def _det(x: np.ndarray) -> np.ndarray:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _cofactor_layout(m: int):
-    """Index table and signs of the (m-1) x (m-1) minors of an m x m matrix.
-
-    Built once per dimension; read-only, since every caller shares them.
-    """
-    others = np.array([np.delete(np.arange(m), i) for i in range(m)]).reshape(m, m - 1)
-    sign = (-1.0) ** np.add.outer(np.arange(m), np.arange(m))
-    others.flags.writeable = sign.flags.writeable = False
-    return others, sign
+_COFACTOR_SIGN = (-1.0) ** np.add.outer(np.arange(3), np.arange(3))  # (-1)^(i + j): m x m is [:m, :m]
+_COFACTOR_SIGN.flags.writeable = False
 
 
 def _surrounds(coords: np.ndarray, verts: np.ndarray, s: np.ndarray, q: np.ndarray, slack):
@@ -318,11 +315,12 @@ def _surrounds(coords: np.ndarray, verts: np.ndarray, s: np.ndarray, q: np.ndarr
     exactly when they share one sign; a subset passes when all are >= -slack
     or all are <= slack.
     """
-    others, sign = _cofactor_layout(coords.shape[1])
+    m = coords.shape[1]
+    others = _drop_one(m)
     a = coords[verts].transpose(0, 2, 1)
     # minors[:, j, i] drops row j and column i; adj[i, j] is its signed determinant
     minors = a[:, others[:, None, :, None], others[None, :, None, :]]
-    adj = sign * _det(minors).transpose(0, 2, 1)
+    adj = _COFACTOR_SIGN[:m, :m] * _det(minors).transpose(0, 2, 1)
     vals = np.einsum("kij,kj->ki", adj[s], coords[q])
     base, tol = -_det(a)[s], slack
     low, high = base >= -tol, base <= tol

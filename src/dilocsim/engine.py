@@ -21,6 +21,7 @@ from .deployment import _u64
 from .system import AnchorBlock, SystemMatrices
 
 _INIT_STREAM = 202  # seed-stream tag for initial guesses
+_DECAY_TAIL = 200  # most step norms that decay_rate_estimate fits
 
 MODES = ("diloc", "diloc_rel")
 
@@ -91,14 +92,13 @@ class RunTrace:
         t = self.iterations if upto is None else upto
         return self.per_sensor_messages * self.n_sensors * t
 
-    def decay_rate_estimate(self, tail: int = 200) -> float | None:
-        """Geometric decay ratio fitted to the tail of the step norms."""
+    def decay_rate_estimate(self) -> float | None:
+        """Geometric decay ratio fitted to the last half of the positive step
+        norms, at most _DECAY_TAIL of them; None below 8."""
         vals = self.step_norms[self.step_norms > 0.0]
         if len(vals) < 8:
             return None
-        vals = vals[-min(tail, len(vals) // 2) :]
-        if len(vals) < 4:
-            return None
+        vals = vals[-min(_DECAY_TAIL, len(vals) // 2) :]
         slope = np.polyfit(np.arange(len(vals)), np.log(vals), 1)[0]
         return float(np.exp(slope))
 

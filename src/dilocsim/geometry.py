@@ -41,6 +41,12 @@ class NegativeEntryError(GeometryError):
         super().__init__(f"negative squared distance at ({i}, {j})")
 
 
+class NonFiniteEntryError(GeometryError):
+    def __init__(self, i, j):
+        self.pair = (i, j)
+        super().__init__(f"non-finite squared distance at ({i}, {j})")
+
+
 class NonzeroDiagonalError(GeometryError):
     def __init__(self, i):
         self.pair = (i, i)
@@ -103,15 +109,6 @@ class DistanceMatrix:
 
 
 @dataclass(frozen=True)
-class Simplex:
-    """m+1 vertices spanning an m-dimensional cell with generalized volume."""
-
-    dim: int
-    vertex_ids: tuple[int, ...]
-    volume: float
-
-
-@dataclass(frozen=True)
 class BarycentricWeights:
     """Convex coefficients expressing one node in terms of m+1 neighbors."""
 
@@ -119,15 +116,12 @@ class BarycentricWeights:
     neighbor_ids: tuple[int, ...]
     weights: np.ndarray
 
-    def as_dict(self) -> dict[int, float]:
-        return {k: float(w) for k, w in zip(self.neighbor_ids, self.weights)}
-
 
 def validate_distance_matrix(raw, ids=None) -> DistanceMatrix:
     """Validate a raw squared-distance table.
 
-    Nothing is repaired silently: asymmetry, negative entries and nonzero
-    diagonals are hard errors naming the offending index pair.
+    Nothing is repaired silently: non-finite entries, nonzero diagonals,
+    asymmetry and negative entries are hard errors naming the offending index pair.
     """
     sq = np.asarray(raw, dtype=float)
     if sq.ndim != 2 or sq.shape[0] != sq.shape[1]:
@@ -139,6 +133,10 @@ def validate_distance_matrix(raw, ids=None) -> DistanceMatrix:
         ids = tuple(ids)
         if len(ids) != n:
             raise GeometryError("ids length does not match table size")
+    bad = np.argwhere(~np.isfinite(sq))
+    if bad.size:
+        i, j = bad[0]
+        raise NonFiniteEntryError(ids[i], ids[j])
     for i in range(n):
         if sq[i, i] != 0.0:
             raise NonzeroDiagonalError(ids[i])
@@ -185,16 +183,15 @@ _NOT_REALIZABLE = (
 
 
 @functools.lru_cache(maxsize=None)
-def _sub_table_index(n: int):
-    """Row and column index arrays that cut the n sub-tables of n - 1 points,
-    point j dropped from sub-table j, out of an n x n table.
+def _drop_one(n: int) -> np.ndarray:
+    """The (n, n - 1) index table whose row i is 0, ..., n - 1 without i:
+    it cuts the n drop-one minors out of an n x n table.
 
-    Built once per size; read-only, since every caller shares them.
+    Built once per size; read-only, since every caller shares it.
     """
-    keep = np.array([[j for j in range(n) if j != i] for i in range(n)]).reshape(n, n - 1)
-    rows, cols = keep[:, :, None], keep[:, None, :]
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
+    keep = np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=np.intp).reshape(n, n - 1)
+    keep.flags.writeable = False
+    return keep
 
 
 def _cm_volumes(tables: np.ndarray, flag: bool = True):
@@ -217,8 +214,8 @@ def _cm_volumes(tables: np.ndarray, flag: bool = True):
     m = n - 2
     scale = tables.max(axis=(1, 2))
     tables = tables / np.where(scale == 0.0, 1.0, scale)[:, None, None]
-    rows, cols = _sub_table_index(n)
-    subs = tables[:, rows, cols]  # (K, m+2, m+1, m+1)
+    keep = _drop_one(n)
+    subs = tables[:, keep[:, :, None], keep[:, None, :]]  # (K, m+2, m+1, m+1)
     bordered = np.ones(subs.shape[:2] + (n, n))
     bordered[..., 0, 0] = 0.0
     bordered[..., 1:, 1:] = subs
@@ -244,11 +241,6 @@ def generalized_volume(d: DistanceMatrix, m: int) -> float:
     return float(base[0]) * float(d.sq_dist.max()) ** (m / 2)
 
 
-def simplex_from_distances(vertex_ids, d: DistanceMatrix, m: int) -> Simplex:
-    vol = generalized_volume(d.restrict(vertex_ids), m)
-    return Simplex(m, tuple(vertex_ids), vol)
-
-
 def _local_volumes(l: int, kappa, d: DistanceMatrix, m: int):
     """Normalized base and vertex-replacement volumes of ``l`` against ``kappa``."""
     kappa = list(kappa)
@@ -262,26 +254,26 @@ def _local_volumes(l: int, kappa, d: DistanceMatrix, m: int):
     base, subs, bad = _cm_volumes(sq[None])
     if bad.any():
         raise NotRealizableError(_NOT_REALIZABLE.format(m=m))
+    if base[0] <= VOLUME_TOL:
+        raise DegenerateSimplexError(f"hull set {tuple(kappa)} spans no volume in dimension {m}")
     return float(base[0]), subs[0]
 
 
-def convex_hull_inclusion(l: int, kappa, d: DistanceMatrix, m: int) -> HullVerdict:
-    """Locate node ``l`` relative to the hull of the m+1 nodes in ``kappa``.
+def _verdict(base, subs):
+    """Flags (outside, strictly inside) of l against subsets of normalized
+    base volume ``base`` and replacement volumes ``subs`` (last axis): inside
+    when these add up to the base and none vanishes (so neither does the
+    base), outside on any excess. A nan volume reads as neither."""
+    total, bound = subs.sum(axis=-1), base * (1.0 + HULL_REL_TOL)
+    return total > bound, (subs.min(axis=-1) > VOLUME_TOL) & (total <= bound)
 
-    The point is inside exactly when the vertex-replacement volumes add up
-    to the base volume; any excess means it is outside, and a vanishing
-    sub-volume on an otherwise matching sum means it sits on a face.
-    """
-    base, subs = _local_volumes(l, kappa, d, m)
-    if base <= VOLUME_TOL:
-        raise DegenerateSimplexError(
-            f"hull set {tuple(kappa)} spans no volume in dimension {m}"
-        )
-    if subs.sum() > base * (1.0 + HULL_REL_TOL):
+
+def convex_hull_inclusion(l: int, kappa, d: DistanceMatrix, m: int) -> HullVerdict:
+    """Locate node ``l`` against the hull of the m+1 nodes ``kappa`` (``_verdict``)."""
+    outside, inside = _verdict(*_local_volumes(l, kappa, d, m))
+    if outside:
         return HullVerdict.OUTSIDE
-    if subs.min() > VOLUME_TOL:
-        return HullVerdict.INSIDE
-    return HullVerdict.BOUNDARY
+    return HullVerdict.INSIDE if inside else HullVerdict.BOUNDARY
 
 
 def barycentric_coordinates(l: int, theta, d: DistanceMatrix, m: int) -> BarycentricWeights:
@@ -292,14 +284,8 @@ def barycentric_coordinates(l: int, theta, d: DistanceMatrix, m: int) -> Barycen
     hull; weights are renormalized to unit sum to absorb rounding.
     """
     base, subs = _local_volumes(l, theta, d, m)
-    if base <= VOLUME_TOL:
-        raise DegenerateSimplexError(
-            f"triangulation set {tuple(theta)} spans no volume in dimension {m}"
-        )
-    if subs.sum() > base * (1.0 + HULL_REL_TOL):
-        raise OutsideHullError(
-            f"node {l} lies outside the hull of {tuple(theta)}"
-        )
+    if _verdict(base, subs)[0]:
+        raise OutsideHullError(f"node {l} lies outside the hull of {tuple(theta)}")
     return BarycentricWeights(l, tuple(theta), _volume_ratios(base, subs))
 
 
@@ -333,8 +319,7 @@ def batch_strict_inclusion(
     tables[:, 0, 1:] = tl
     tables[:, 1:, 0] = tl
     tables[:, 1:, 1:] = sq_cand[combos[:, :, None], combos[:, None, :]]
-    # a flagged volume reads 0, which already fails the tests below
+    # a flagged volume reads 0, which is never strictly inside
     base, subs, _ = _cm_volumes(tables, flag=False)
-    flags = (base > VOLUME_TOL) & (subs.min(axis=1) > VOLUME_TOL)
-    flags &= subs.sum(axis=1) <= base * (1.0 + HULL_REL_TOL)
+    flags = _verdict(base, subs)[1]
     return flags, _volume_ratios(base[flags, None], subs[flags])

@@ -65,7 +65,8 @@ class SystemMatrices:
         if self.B.shape != (self.M, self.m + 1) or self.P.shape != (self.M, self.M):
             raise SystemMatrixError("block shapes are inconsistent")
         for block in (self.B, self.P):
-            if block.nnz and (block.data.min() < 0.0 or block.data.max() > 1.0):
+            # a nan weight fails both comparisons
+            if block.nnz and not (block.data.min() >= 0.0 and block.data.max() <= 1.0):
                 raise SystemMatrixError("weights must lie in [0, 1]")
         nnz_per_row = np.diff(self.B.indptr) + np.diff(self.P.indptr)
         if self.M and not np.all(nnz_per_row == self.m + 1):
@@ -166,7 +167,7 @@ def _perron_bracket(T: sp.csr_matrix, max_iters=50, threshold=None):
 
 
 def spectral_radius(P, max_iters=50):
-    """Largest eigenvalue modulus of a nonnegative square matrix.
+    """Largest eigenvalue modulus of a finite, nonnegative square matrix.
 
     The midpoint of its Perron bracket once that closes to a relative 1e-12
     within ``max_iters`` solves; NoConvergenceError carries it otherwise.
@@ -176,8 +177,8 @@ def spectral_radius(P, max_iters=50):
         raise SystemMatrixError("matrix must be square")
     if A.shape[0] == 0:
         return 0.0
-    if A.nnz and A.data.min() < 0.0:
-        raise SystemMatrixError("matrix must be nonnegative")
+    if A.nnz and not (np.isfinite(A.data).all() and A.data.min() >= 0.0):
+        raise SystemMatrixError("matrix entries must be finite and nonnegative")
     lo, hi, _ = _perron_bracket(A, max_iters)
     return 0.5 * (lo + hi)
 

@@ -688,10 +688,18 @@ class TestMainEntry:
             ("m\t2\ndensity\t-\n1\tanchor\t0\t0\n2\tanchor\tinf\t0\n3\tanchor\t3\t5.2\n"
              "4\tsensor\t2\t1.2\n",
              "node 2 has a non-finite coordinate"),
+            # -1 died in the default r0 with a TypeError traceback, nan and inf
+            # were blamed on r0 and growth, and 0 read as "no density"
+            *(
+                (f"m\t2\ndensity\t{d}\n1\tanchor\t0\t0\n2\tanchor\t6\t0\n3\tanchor\t3\t5.2\n"
+                 "4\tsensor\t2\t1.2\n",
+                 f"field density must be finite and positive, got {float(d)}")
+                for d in ("-1", "0", "nan", "inf")
+            ),
         ],
         ids=[
             "header-value", "header-missing", "record", "ids", "anchor-after-sensor", "role", "anchor-count",
-            "nan-sensor", "inf-anchor",
+            "nan-sensor", "inf-anchor", "density-negative", "density-zero", "density-nan", "density-inf",
         ],
     )
     def test_bad_field_file(self, tmp_path, capsys, records, message):

@@ -111,6 +111,13 @@ class TestPoissonField:
         with pytest.raises(dep.DeploymentError):
             dep.generate_poisson_field(2, gamma, RIGHT_ANCHORS, seed=0)
 
+    def test_non_finite_anchor_rejected(self):
+        # numpy's Poisson draw raised a bare ValueError (lam is NaN)
+        anchors = RIGHT_ANCHORS.copy()
+        anchors[2, 1] = math.nan
+        with pytest.raises(dep.DeploymentError, match="non-finite"):
+            dep.generate_poisson_field(2, 1.0, anchors, seed=0)
+
     def test_zero_intensity_limit(self):
         f = dep.generate_poisson_field(2, 1e-12, RIGHT_ANCHORS, seed=3)
         assert f.n_sensors == 0
@@ -207,6 +214,15 @@ class TestSensorField:
         anchors[1, 0] = value
         with pytest.raises(dep.DeploymentError, match="node 2 has a non-finite coordinate"):
             dep.SensorField(2, anchors, sensors[:1])
+
+    def test_anchor_shape_rejected(self):
+        with pytest.raises(dep.DeploymentError, match="need 3 anchors with 2 coordinates each"):
+            dep.SensorField(2, RIGHT_ANCHORS[:2], np.array([[0.2, 0.2]]))
+
+    @pytest.mark.parametrize("node_id", [0, 8])
+    def test_node_id_out_of_range(self, node_id):
+        with pytest.raises(KeyError, match="out of range 1..7"):
+            dep.demo_network().sq_distances_from(node_id)
 
     def test_submatrix_ids(self):
         f = dep.demo_network()
@@ -700,6 +716,18 @@ class TestPrefilterConservative:
         assert _prefilter_verdicts(pts, np.array([0.5, 0.0]))[2]
         assert not _prefilter_verdicts(pts, pts.mean(axis=0))[2]
 
+    def test_singular_corral_skips_nothing(self, monkeypatch):
+        # the segment from (1, 0) to (-1, 0.5) passes 0.24 from l, so the
+        # second row joins the corral; a failed solve there answers False
+        pts = np.array([[1.0, 0.0], [-1.0, 0.5]])
+        assert dep._beyond(pts, 0.01)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        assert not dep._beyond(pts, 0.01)
+
     def test_swept_rounds_run_no_search(self, monkeypatch):
         # where the directions answer, _pivots follows no Wolfe path
         calls, beyond = [], dep._beyond
@@ -892,6 +920,9 @@ class TestSectorCheck:
         sensors = np.vstack([center, center + offsets])
         f = dep.SensorField(2, RIGHT_ANCHORS * 4.0, sensors + 1.0)
         assert not dep.sector_sufficiency_check(f, 4, 0.5)
+
+    def test_no_node_within_r(self):
+        assert not dep.sector_sufficiency_check(dep.demo_network(), 4, 1e-3)
 
     def test_unsupported_dimension(self):
         anchors = np.array([[0.0], [4.0]])

@@ -82,6 +82,26 @@ class TestValidateDistanceMatrix:
         with pytest.raises(geo.GeometryError):
             geo.validate_distance_matrix(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_entry_rejected_with_pair(self, value):
+        # inf passed every check and generalized_volume read nan; nan was
+        # reported as an asymmetry
+        raw = np.ones((3, 3)) - np.eye(3)
+        raw[0, 2] = raw[2, 0] = value
+        with pytest.raises(geo.NonFiniteEntryError, match=r"non-finite squared distance at \(7, 9\)") as exc:
+            geo.validate_distance_matrix(raw, ids=(7, 8, 9))
+        assert exc.value.pair == (7, 9)
+
+    def test_ids_length_mismatch_rejected(self):
+        with pytest.raises(geo.GeometryError, match="ids length"):
+            geo.validate_distance_matrix(np.zeros((3, 3)), ids=(1, 2))
+
+    def test_index_of_missing_id(self):
+        d = geo.validate_distance_matrix(np.zeros((2, 2)), ids=(4, 5))
+        assert d.index_of(5) == 1
+        with pytest.raises(KeyError, match="node 6 not in distance matrix"):
+            d.index_of(6)
+
 
 class TestCayleyMengerDeterminant:
     def test_unit_right_triangle(self):
@@ -101,6 +121,10 @@ class TestCayleyMengerDeterminant:
         bordered = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
         assert det_cofactor(bordered) == pytest.approx(2.0, abs=1e-15)
         assert geo.cayley_menger_determinant(d) == pytest.approx(2.0, abs=1e-12)
+
+    def test_one_node_rejected(self):
+        with pytest.raises(geo.GeometryError, match="at least 2 nodes"):
+            geo.cayley_menger_determinant(geo.validate_distance_matrix(np.zeros((1, 1))))
 
     def test_collinear_points_vanish(self):
         d = dm(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
@@ -125,6 +149,10 @@ class TestCoefficient:
         assert geo.cm_coefficient(2) == -16.0
         assert geo.cm_coefficient(3) == 288.0
         assert geo.cm_coefficient(4) == -9216.0
+
+    def test_dimension_zero_rejected(self):
+        with pytest.raises(geo.GeometryError, match="dimension must be >= 1"):
+            geo.cm_coefficient(0)
 
 
 class TestGeneralizedVolume:
@@ -303,14 +331,23 @@ class TestBarycentricCoordinates:
         np.testing.assert_allclose(w1.weights, w2.weights, atol=1e-9)
 
 
-class TestSimplexConstruction:
-    def test_simplex_from_distances(self):
-        d = dm(np.vstack([UNIT_RIGHT_TRI, [[0.25, 0.25]]]), ids=(10, 11, 12, 13))
-        s = geo.simplex_from_distances((10, 11, 12), d, 2)
-        assert s.dim == 2
-        assert s.vertex_ids == (10, 11, 12)
-        assert len(s.vertex_ids) == s.dim + 1
-        assert s.volume == pytest.approx(0.5, abs=1e-12)
+class TestVerdict:
+    """The one outside / strictly-inside rule that every inclusion test reads."""
+
+    def test_nan_volume_is_neither(self):
+        outside, inside = geo._verdict(np.array([1.0, 1.0]), np.array([[np.nan, 0.5, 0.5], [0.2, 0.3, 0.5]]))
+        np.testing.assert_array_equal(outside, [False, False])
+        np.testing.assert_array_equal(inside, [False, True])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_drop_one_table(self, n):
+        # an integer table at every size: the set-up prefilter reads n = 1 for m = 1
+        table = geo._drop_one(n)
+        assert table.shape == (n, n - 1) and table.dtype.kind == "i"
+        assert not table.flags.writeable
+        for i, row in enumerate(table):
+            assert list(row) == [j for j in range(n) if j != i]
+        assert geo._drop_one(n) is table
 
 
 class TestBatchInclusion:

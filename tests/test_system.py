@@ -76,6 +76,14 @@ class TestValidate:
         with pytest.raises(sysm.SystemMatrixError, match=r"\[0, 1\]"):
             sysm.SystemMatrices(sys.B, P, sys.m).validate()
 
+    def test_nan_weight(self):
+        # nan fails every comparison, so it used to pass each refusal
+        _, sys, _ = demo_system()
+        P = sys.P.copy()
+        P.data[0] = math.nan
+        with pytest.raises(sysm.SystemMatrixError, match=r"\[0, 1\]"):
+            sysm.SystemMatrices(sys.B, P, sys.m).validate()
+
     def test_row_without_m_plus_1_weights(self):
         _, sys, _ = demo_system()
         P = sys.P.copy()
@@ -115,6 +123,16 @@ class TestSpectralRadius:
     def test_negative_rejected(self):
         with pytest.raises(sysm.SystemMatrixError):
             sysm.spectral_radius(np.array([[0.0, -1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, value):
+        # nan read as rho = inf, and inf as scipy's "Factor is exactly singular"
+        with pytest.raises(sysm.SystemMatrixError, match="finite"):
+            sysm.spectral_radius(np.array([[value]]))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(sysm.SystemMatrixError, match="square"):
+            sysm.spectral_radius(np.zeros((2, 3)))
 
     def test_periodic_chain_uses_dense_fallback(self):
         # power-iteration norm ratios oscillate on these periodic matrices;
@@ -226,6 +244,14 @@ class TestExactOracle:
         sys = sysm.SystemMatrices(B, P, 2)
         with pytest.raises(sysm.SingularSystemError):
             sysm.exact_locations_oracle(sys, sysm.AnchorBlock(np.eye(3, 2)))
+
+    def test_rounded_singular_system_fails_the_residual_check(self):
+        # P is row-stochastic, so I - P is singular; LU rounds its last pivot
+        # to a tiny nonzero value instead of 0, and only the residual shows it
+        B = sp.csr_matrix(np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        P = sp.csr_matrix(np.array([[0.1, 0.9], [0.7, 0.3]]))
+        with pytest.raises(sysm.SingularSystemError, match="residual .* too large"):
+            sysm.exact_locations_oracle(sysm.SystemMatrices(B, P, 2), sysm.AnchorBlock(np.eye(3, 2)))
 
 
 class TestFundamentalSeries:

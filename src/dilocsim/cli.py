@@ -23,7 +23,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -228,10 +227,6 @@ def _parse_anchors(text: str, m: int) -> np.ndarray:
 _POISSON50_ANCHORS = "0 0; 10.42 0; 5.21 9.024"
 
 
-def _demo_field_path() -> str:
-    return str(resources.files("dilocsim").joinpath("data/demo7.field"))
-
-
 # Every preset is the base config with some keys overridden (None drops one).
 _PRESET_BASE = {
     "dimension": "2",
@@ -255,7 +250,7 @@ _PRESETS = {
         "field.source": "file",
         "field.gamma": None,
         "field.anchors": None,
-        "field.path": _demo_field_path,
+        "field.path": dep._DEMO_FIELD,
         "snapshot_stride": "1",
         "seed": "7",
     },
@@ -280,7 +275,7 @@ def materialize_preset(name: str) -> str:
         )
     values = {"scenario": name, **_PRESET_BASE, **_PRESETS[name]}
     return "".join(
-        f"{key} = {val() if callable(val) else val}\n"
+        f"{key} = {val}\n"
         for key, val in values.items()
         if val is not None
     )
@@ -545,7 +540,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config_arg(args.config)
-    except (ConfigInvalidError, OSError) as exc:
+    except (ConfigInvalidError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

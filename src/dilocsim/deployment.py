@@ -10,9 +10,11 @@ weights. Poisson deployment utilities quantify how large that radius must be.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
+from importlib import resources
 from itertools import combinations
 
 import numpy as np
@@ -23,11 +25,13 @@ from .geometry import (
     BarycentricWeights,
     DistanceMatrix,
     _drop_one,
+    _sq_distances,
     barycentric_coordinates,  # noqa: F401  (bench/meter.py wraps it in this module too)
     batch_strict_inclusion,
 )
 
 _FIELD_STREAM = 101  # seed-stream tag for field generation
+_DEMO_FIELD = str(resources.files("dilocsim").joinpath("data/demo7.field"))  # the packaged demo network
 
 # Relative slack when checking that generated/loaded sensors sit strictly
 # inside the anchor hull (assumption: the iteration chain needs anchors on
@@ -144,8 +148,8 @@ class SensorField:
 
     def sq_distances_from(self, node_id: int) -> np.ndarray:
         """Measured squared distances from one node to all nodes, id order."""
-        diff = self._all_coords - self._all_coords[self._row(node_id)]
-        return np.einsum("ij,ij->i", diff, diff)
+        row = self._row(node_id)
+        return _sq_distances(self._all_coords, self._all_coords[row : row + 1])[:, 0]
 
     def distance_submatrix(self, ids) -> DistanceMatrix:
         """Measured squared-distance table over a node subset."""
@@ -174,13 +178,16 @@ def generate_poisson_field(m, gamma, anchor_simplex, seed) -> SensorField:
 
     Uniformity over the anchor simplex uses normalized exponential spacings,
     which is exact and rejection-free. Deterministic for a given seed.
+    DeploymentError before any draw if the mean count's coordinates could pass _SETUP_BYTES.
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise DeploymentError("deployment density must be finite and positive")
     anchors = np.asarray(anchor_simplex, dtype=float)
-    volume = _simplex_volume(anchors, m)
+    mean = gamma * _simplex_volume(anchors, m)
+    if not 8 * (m + 1) * mean <= _SETUP_BYTES:  # the draw's coordinate arrays; nan and inf fail too
+        raise DeploymentError(f"Poisson mean count {mean:.6g} would pass the set-up budget of {_SETUP_BYTES} bytes")
     rng = np.random.default_rng([_u64(seed), _FIELD_STREAM])
-    count = int(rng.poisson(gamma * volume))
+    count = int(rng.poisson(mean))
     spacings = rng.exponential(size=(count, m + 1))
     weights = spacings / spacings.sum(axis=1, keepdims=True)
     sensors = weights @ anchors
@@ -195,11 +202,11 @@ def _simplex_volume(anchors: np.ndarray, m: int) -> float:
         raise DeploymentError(f"anchor simplex must be ({m + 1}, {m}), got {anchors.shape}")
     if not np.isfinite(anchors).all():
         raise DeploymentError("anchor simplex has a non-finite coordinate")
-    volume = abs(np.linalg.det(anchors[1:] - anchors[0])) / math.factorial(m)
-    diff = anchors[:, None, :] - anchors[None, :, :]
-    diam_sq = float(np.einsum("ijk,ijk->ij", diff, diff).max())
-    if diam_sq == 0.0 or volume / diam_sq ** (m / 2.0) <= 1e-12:
-        raise DegenerateAnchorsError("anchors lie on a hyperplane")
+    with np.errstate(over="ignore", invalid="ignore"):  # a volume past the float range reads inf
+        volume = abs(np.linalg.det(anchors[1:] - anchors[0])) / math.factorial(m)
+        diam_sq = float(_sq_distances(anchors, anchors).max())
+        if diam_sq == 0.0 or volume / diam_sq ** (m / 2.0) <= 1e-12:
+            raise DegenerateAnchorsError("anchors lie on a hyperplane")
     return volume
 
 
@@ -500,20 +507,23 @@ def _unrank(m: int, ranks: np.ndarray, n: int) -> list:
 
 @functools.lru_cache(maxsize=None)
 def _colex(m: int, rows: int):
-    """The m-combinations of positions 0, 1, 2, ... in colex order
+    """The m-combinations (m >= 1) of positions 0, 1, 2, ... in colex order
     (``_unrank``), as many whole as fit in ``rows`` (those below n are the
     first C(n, m)), and the rank of each one's first m - 1 members among the
     (m - 1)-combinations. Built once per (m, rows), in the smallest integer
     types that hold it, since it stays in memory; read-only, since every
-    caller shares it. ``_Search._walk`` asks for ``_WALK_BATCH`` rows, and
-    reads prefixes; for m <= 3 all its tables take under 1 MB.
+    caller shares it. ``_Search._walk`` asks for ``_WALK_BATCH`` rows and
+    reads a prefix, whose rows closing at its last position t list, less t,
+    the (m - 1)-combinations below t; for m <= 3 its tables take under 1 MB.
     """
-    n = int(_unrank(m, np.array([rows]), m + rows)[-1][0]) if m else 0  # C(n, m) <= rows < C(n + 1, m)
-    table = np.empty((math.comb(n, m), m), dtype=np.min_scalar_type(max(n - 1, 0)))
-    for j, member in enumerate(_unrank(m, np.arange(len(table)), n)):
-        table[:, j] = member
-    rank = np.arange(len(table)) - (_firsts(m, n + 1)[table[:, -1]] if m else 0)
-    rank = rank.astype(np.min_scalar_type(rank.max()))
+    n = bisect.bisect_right(range(m + rows + 1), rows, key=lambda t: math.comb(t, m)) - 1  # C(n, m) <= rows
+    table = np.empty((math.comb(n, m), m), dtype=np.min_scalar_type(n - 1))
+    rank = np.empty(len(table), dtype=np.min_scalar_type(math.comb(n - 1, m - 1) - 1))
+    first = _firsts(m, n)
+    for lo in range(0, len(table), 1 << 12):  # in slices: int64 temporaries of the whole would outweigh the tables
+        hi = min(lo + (1 << 12), len(table))
+        table[lo:hi] = np.column_stack(_unrank(m, np.arange(lo, hi), n))
+        rank[lo:hi] = np.arange(lo, hi) - first[table[lo:hi, -1]]
     table.flags.writeable = rank.flags.writeable = False
     return table, rank
 
@@ -588,24 +598,12 @@ class _Search:
         m, n_c = self.m, self.count(radius)
         _check_round_bytes(self.l, radius, n_c, m)
         pts, sq_to_l = self._pts[:n_c], self.sq_to_l[:n_c]
-
-        def column(p):
-            diff = pts - pts[p]
-            return np.einsum("ij,ij->i", diff, diff)
-
-        coords, frame_err = _local_frame(column, sq_to_l, m)
+        coords, frame_err = _local_frame(lambda p: _sq_distances(pts, pts[p : p + 1])[:, 0], sq_to_l, m)
         pivots = _pivots(coords, frame_err)
         if not pivots.size:
             return None
         _check_round_bytes(self.l, radius, n_c, m, pivots.size)
-        diffs = np.empty((n_c, n_c, m))
-        for k in range(m):  # a coordinate at a time: broadcasting over a short last axis is slow
-            np.subtract.outer(pts[:, k], pts[:, k], out=diffs[:, :, k])
-        # einsum's own order of addition, as in ``column``: a plain sum of
-        # squares rounds some 3-D entries differently
-        sq_cand = np.einsum("ijk,ijk->ij", diffs, diffs)
-        del diffs
-        return self._walk(sq_cand, coords, pivots, n_old, float(sq_to_l[-1]), frame_err)
+        return self._walk(_sq_distances(pts, pts), coords, pivots, n_old, float(sq_to_l[-1]), frame_err)
 
     def _first_accepted(self, sq_cand, subsets, diam):
         """The first subset the kernel accepts, in (diameter, ids) order, as
@@ -654,7 +652,7 @@ class _Search:
         m, n, k = self.m, sq_cand.shape[0], pivots.size
         total, states = math.comb(n - 1, m), math.comb(n - 2, m - 1)  # ranks of subsets, of states
         if k * total <= _WALK_BATCH:
-            table, rank = _colex(m, _WALK_BATCH)  # total <= _WALK_BATCH rows, and states <= total
+            table, rank = _colex(m, _WALK_BATCH)  # total <= _WALK_BATCH rows
             position = np.arange(n - 1)
             others = position + (position >= pivots[:, None])  # (pivot, position) -> candidate
             members = _through(pivots, others, table[:total])
@@ -665,7 +663,7 @@ class _Search:
                 members, s = members[keep], s[keep]
             pairs = combinations(range(m + 1), 2)
             diam = functools.reduce(np.maximum, (sq_cand[members[:, a], members[:, b]] for a, b in pairs))
-            verts = _through(pivots, others, _colex(m - 1, _WALK_BATCH)[0][:states])
+            verts = _through(pivots, others, table[total - states : total, :-1])  # rows closing at n - 2: the states
             found = self._test(sq_cand, coords, members, diam, verts, s, sq_reach, frame_err)
             return None if found is None else found[1:]
         near = sq_cand[pivots]
@@ -832,7 +830,7 @@ def load_field(path) -> SensorField:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = [ln.rstrip("\n") for ln in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FieldLoadError(f"cannot read field file {path}: {exc}") from exc
     lines = [ln for ln in raw if ln.strip() and not ln.lstrip().startswith("#")]
     try:
@@ -879,8 +877,6 @@ def demo_network() -> SensorField:
 
     The sensors interlock: each triangulates off at most one anchor and one
     of them (node 5) sees no anchor at all, so nobody can localize in a
-    single step.
+    single step. Read from the packaged field file.
     """
-    anchors = np.array([[0.0, 0.0], [6.0, 0.0], [3.0, 5.2]])
-    sensors = np.array([[2.0, 1.2], [3.0, 1.6], [4.0, 1.2], [3.0, 2.8]])
-    return SensorField(2, anchors, sensors, density=None)
+    return load_field(_DEMO_FIELD)

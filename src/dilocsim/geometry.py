@@ -1,10 +1,10 @@
 """Distance-only computational geometry.
 
 Everything in this module works from squared inter-node distances alone;
-coordinates never enter. Generalized simplex volumes come from bordered
-(Cayley-Menger) determinants, point-in-hull tests compare sub-simplex
-volumes against the full volume, and barycentric coordinates are ratios
-of those volumes.
+coordinates enter only ``_sq_distances``, which turns them into those.
+Generalized simplex volumes come from bordered (Cayley-Menger)
+determinants, point-in-hull tests compare sub-simplex volumes against the
+full volume, and barycentric coordinates are ratios of those volumes.
 
 All functions are pure; there is no shared mutable state.
 """
@@ -101,11 +101,19 @@ class DistanceMatrix:
     def from_points(cls, ids, coords) -> "DistanceMatrix":
         """Exact squared-distance table of a coordinate array (one row per id)."""
         pts = np.asarray(coords, dtype=float)
-        diff = pts[:, None, :] - pts[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
-        sq = (sq + sq.T) / 2.0
+        sq = _sq_distances(pts, pts)
         np.fill_diagonal(sq, 0.0)
         return cls(tuple(ids), sq)
+
+
+def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of ``a`` and ``b``, (len(a), len(b)):
+    the one source of them, since einsum's order of addition sets their bytes
+    (a plain sum of squares rounds some 3-D ones otherwise)."""
+    diff = np.empty((len(a), len(b), a.shape[1]))
+    for k in range(a.shape[1]):  # a coordinate at a time: broadcasting over a short last axis is slow
+        np.subtract.outer(a[:, k], b[:, k], out=diff[:, :, k])
+    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 @dataclass(frozen=True)

@@ -660,6 +660,30 @@ class TestMainEntry:
         assert cli.main(["validate", str(cfg)]) == cli.EXIT_CONFIG
         assert "line 10: expected 'key = value'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_config_not_utf8_rejected(self, tmp_path, capsys, command):
+        # a UnicodeDecodeError traceback with exit 1
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(cli.materialize_preset("deterministic-poisson").encode() + b"# \xff\n")
+        out = tmp_path / "o"
+        assert cli.main([command, str(cfg), *(["--out", str(out)] if command == "run" else [])]) == cli.EXIT_CONFIG
+        assert "config error: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "values",
+        [{"field.gamma": "1e300"}, {"field.gamma": "1e12"}, {"field.anchors": "0 0; 1e308 0; 0 1e308"}],
+        ids=["lam-too-large", "array-too-large", "infinite-volume"],
+    )
+    def test_oversized_field_rejected(self, tmp_path, capsys, values):
+        # numpy's "lam value too large" or a 1 PiB _ArrayMemoryError traceback
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(edited_text("deterministic-poisson", **values))
+        out = tmp_path / "o"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_RUNTIME
+        assert "would pass the set-up budget" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_field_without_sensors_rejected(self, tmp_path, capsys):
         # found only once the field is drawn, still before any output
         cfg = tmp_path / "c.cfg"
@@ -696,15 +720,17 @@ class TestMainEntry:
                  f"field density must be finite and positive, got {float(d)}")
                 for d in ("-1", "0", "nan", "inf")
             ),
+            # a UnicodeDecodeError traceback with exit 1
+            (b"m\t2\ndensity\t-\n1\tanchor\t0\t0\xff\n", "cannot read field file"),
         ],
         ids=[
             "header-value", "header-missing", "record", "ids", "anchor-after-sensor", "role", "anchor-count",
-            "nan-sensor", "inf-anchor", "density-negative", "density-zero", "density-nan", "density-inf",
+            "nan-sensor", "inf-anchor", "density-negative", "density-zero", "density-nan", "density-inf", "not-utf8",
         ],
     )
     def test_bad_field_file(self, tmp_path, capsys, records, message):
         bad_field = tmp_path / "bad.field"
-        bad_field.write_text(records)
+        bad_field.write_bytes(records if isinstance(records, bytes) else records.encode())
         with pytest.raises(dep.FieldLoadError, match=message):
             dep.load_field(bad_field)
         cfg = tmp_path / "c.cfg"

@@ -122,6 +122,24 @@ class TestPoissonField:
         f = dep.generate_poisson_field(2, 1e-12, RIGHT_ANCHORS, seed=3)
         assert f.n_sensors == 0
 
+    @pytest.mark.parametrize(
+        "gamma, scale",
+        [(1e300, 1.0), (1e12, 1.0), (1.0, 1e308)],
+        ids=["lam-too-large", "array-too-large", "infinite-volume"],
+    )
+    def test_oversized_field_rejected(self, gamma, scale):
+        # numpy raised "lam value too large", or a 1 PiB _ArrayMemoryError
+        with pytest.raises(dep.DeploymentError, match="would pass the set-up budget"):
+            dep.generate_poisson_field(2, gamma, RIGHT_ANCHORS * scale, seed=0)
+
+    def test_field_at_the_byte_budget(self, monkeypatch):
+        # 8 (m + 1) bytes per sensor of the mean count 30 * 0.5
+        monkeypatch.setattr(dep, "_SETUP_BYTES", 8 * 3 * 15)
+        assert dep.generate_poisson_field(2, 30.0, RIGHT_ANCHORS, seed=42).n_sensors
+        monkeypatch.setattr(dep, "_SETUP_BYTES", 8 * 3 * 15 - 1)
+        with pytest.raises(dep.DeploymentError, match="mean count 15 would pass the set-up budget of 359 bytes"):
+            dep.generate_poisson_field(2, 30.0, RIGHT_ANCHORS, seed=42)
+
     def test_degenerate_anchors_rejected(self):
         flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(dep.DegenerateAnchorsError):
@@ -512,18 +530,28 @@ class TestWalkBranches:
         members = dep._unrank(m, np.arange(len(order)), n)
         assert len(members) == m
         assert [tuple(int(p[i]) for p in members) for i in range(len(order))] == order
-        if m:  # ranks [C(t, m), C(t + 1, m)) close at position t
-            for t in range(n):
-                assert all(c[-1] == t for c in order[math.comb(t, m) : math.comb(t + 1, m)])
+        if not m:  # _colex starts at m = 1
+            return
+        for t in range(n):  # ranks [C(t, m), C(t + 1, m)) close at position t
+            assert all(c[-1] == t for c in order[math.comb(t, m) : math.comb(t + 1, m)])
+        lower = colex(n, m - 1)
         for rows in (1, 5, 30):
             # as many whole positions as fit, and each row's first m - 1
             # members ranked among the (m - 1)-combinations
             table, rank = dep._colex(m, rows)
             assert [tuple(int(p) for p in row) for row in table] == order[: len(table)]
-            assert len(table) <= rows and (m == 0 or math.comb(int(table.max()) + 2, m) > rows)
-            if m:
-                lower = colex(n, m - 1)
-                assert [lower.index(tuple(int(p) for p in row[:-1])) for row in table] == rank.tolist()
+            assert len(table) <= rows and math.comb(int(table.max()) + 2, m) > rows
+            assert [lower.index(tuple(int(p) for p in row[:-1])) for row in table] == rank.tolist()
+        # the walk's states: the rows closing at the last position t of a
+        # prefix list, less t, the (m - 1)-combinations below t in rank order
+        table, rank = dep._colex(m, dep._WALK_BATCH)
+        for t in (m - 1, m, int(table[-1, -1])):
+            block = slice(math.comb(t, m), math.comb(t + 1, m))
+            states = np.arange(math.comb(t, m - 1))
+            assert (table[block, -1] == t).all()
+            lower = np.array(dep._unrank(m - 1, states, t)).T.reshape(states.size, m - 1)
+            np.testing.assert_array_equal(table[block, :-1], lower)
+            np.testing.assert_array_equal(rank[block], states)
 
     def test_pivots_without_the_nearest_hull_point(self, monkeypatch):
         # without the search for an empty half-space along the hull's nearest
@@ -958,11 +986,12 @@ class TestFieldFiles:
         np.testing.assert_array_equal(g.true_sensor_matrix(), f.true_sensor_matrix())
 
     def test_packaged_demo_field_matches_builtin(self):
+        # demo_network reads the packaged file: both hold the documented demo
         path = resources.files("dilocsim").joinpath("data/demo7.field")
-        g = dep.load_field(str(path))
-        f = dep.demo_network()
-        np.testing.assert_array_equal(g.anchor_block(), f.anchor_block())
-        np.testing.assert_array_equal(g.true_sensor_matrix(), f.true_sensor_matrix())
+        for f in (dep.load_field(str(path)), dep.demo_network()):
+            assert f.m == 2 and f.density is None
+            np.testing.assert_array_equal(f.anchor_block(), [[0.0, 0.0], [6.0, 0.0], [3.0, 5.2]])
+            np.testing.assert_array_equal(f.true_sensor_matrix(), [[2.0, 1.2], [3.0, 1.6], [4.0, 1.2], [3.0, 2.8]])
 
     def test_malformed_rejected(self, tmp_path):
         p = tmp_path / "bad.field"

@@ -47,6 +47,21 @@ def dm(pts, ids=None):
     return geo.DistanceMatrix.from_points(tuple(ids), pts)
 
 
+class TestSqDistances:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_symmetric_and_equal_to_its_columns(self, m):
+        # the set-up's frame reads single columns and its walk the whole
+        # table, so the two must agree bit for bit
+        pts = np.random.default_rng(m).uniform(-7.3, 11.9, size=(40, m))
+        sq = geo._sq_distances(pts, pts)
+        assert sq.shape == (40, 40)
+        assert (sq == sq.T).all() and (np.diag(sq) == 0.0).all()
+        for p in range(len(pts)):
+            assert geo._sq_distances(pts, pts[p : p + 1])[:, 0].tobytes() == sq[:, p].tobytes()
+            assert geo._sq_distances(pts[p : p + 1], pts)[0].tobytes() == sq[p].tobytes()
+        assert geo.DistanceMatrix.from_points(range(40), pts).sq_dist.tobytes() == sq.tobytes()
+
+
 class TestValidateDistanceMatrix:
     def test_all_zero_offdiagonal_accepted(self):
         d = geo.validate_distance_matrix(np.zeros((3, 3)), ids=(7, 8, 9))
